@@ -20,7 +20,7 @@
 
 int main(int argc, char** argv) {
   using namespace reptile;
-  const auto trace = bench::parse_trace_args(argc, argv);
+  const auto trace = bench::parse_bench_args(argc, argv, {.json = false}).trace;
   bench::print_header(
       "Ablation — partial replication (paper Section V) and Bloom "
       "construction",
@@ -77,17 +77,16 @@ int main(int argc, char** argv) {
     config.heuristics.partial_replication_group = group;
     const auto result = parallel::run_distributed(ds.reads, config);
     if (reference.empty()) reference = result.corrected;
-    std::uint64_t remote = 0, hits = 0;
+    stats::PhaseTimeline total;  // counters summed over ranks
     std::size_t peak = 0;
     for (const auto& r : result.ranks) {
-      remote += r.remote.remote_lookups();
-      hits += r.remote.group_lookups;
+      total += r.timeline();
       peak = std::max(peak, r.footprint_after_correction.bytes);
     }
     fn.row()
         .cell(group)
-        .cell(remote)
-        .cell(hits)
+        .cell(total.remote.remote_lookups())
+        .cell(total.remote.group_lookups)
         .cell_fixed(static_cast<double>(peak) / (1 << 20), 2)
         .cell(result.corrected == reference ? "yes" : "NO");
   }

@@ -26,7 +26,7 @@
 
 int main(int argc, char** argv) {
   using namespace reptile;
-  const auto trace = bench::parse_trace_args(argc, argv);
+  const auto trace = bench::parse_bench_args(argc, argv, {.json = false}).trace;
   bench::print_header(
       "Ablation — distributed spectrum vs prior-art replication",
       "replication per process/node hits the memory wall; distribution "

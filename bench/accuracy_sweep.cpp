@@ -17,10 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace reptile;
-  if (bench::parse_trace_args(argc, argv).enabled) {
-    std::printf("note: --trace accepted for CLI uniformity, but this driver "
-                "runs the sequential corrector only (no runtime to trace)\n");
-  }
+  bench::parse_bench_args(argc, argv, {.json = false, .runtime = false});
   bench::print_header(
       "Ablation — accuracy vs coverage and threshold (sequential Reptile)",
       "tile-level correction needs coverage >> threshold; gain collapses "

@@ -25,68 +25,51 @@ namespace reptile::bench {
 
 /// Shared bench CLI. Every driver accepts:
 ///
-///   --trace PREFIX   enable span tracing + the metrics registry for the
-///                    functional (real-runtime) sections; each distributed
-///                    run writes one Chrome-trace shard per rank to
-///                    PREFIX.rankN.json (a later run in the same driver
-///                    overwrites shards for the ranks it uses — the last
-///                    functional section wins). Merge/validate the shards
-///                    with tools/trace_merge. No effect on the modeled
-///                    (perfmodel) sections, which spawn no runtime.
-///
-/// Unknown arguments exit with usage, so a typo never silently runs the
-/// untraced configuration.
-inline obs::TraceConfig parse_trace_args(int argc, char** argv) {
-  obs::TraceConfig trace;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace.enabled = true;
-      trace.metrics = true;
-      trace.path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--trace PREFIX]\n", argv[0]);
-      std::exit(2);
-    }
-  }
-  return trace;
-}
-
-/// Extended bench CLI for drivers that also emit a machine-readable summary
-/// (the CI bench gate consumes it):
-///
-///   --json PATH      write the driver's deterministic counters as JSON to
-///                    PATH; tools/bench_gate.py compares it against the
-///                    checked-in bench/baselines/ copy.
-///
+///   --trace PREFIX   span tracing + the metrics registry for the functional
+///                    (real-runtime) sections: one Chrome-trace shard per
+///                    rank, PREFIX.rankN.json (the last functional section
+///                    wins); merge/validate them with tools/trace_merge.
 ///   --ledger         arm the resource ledger (obs::ResourceLedger) for the
-///                    functional sections: per-account byte attribution,
-///                    RSS sampling, and the ledger fields of the scaling
-///                    JSON. Off by default — the default bench run must be
-///                    byte-identical to an uninstrumented one.
+///                    functional sections. Off by default — the default run
+///                    must be byte-identical to an uninstrumented one.
+///   --json PATH      drivers with a machine-readable summary only: write
+///                    it to PATH for tools/bench_gate.py.
 ///
-/// Same strictness as parse_trace_args: unknown arguments exit with usage.
+/// Anything else — including --json on a driver that writes no JSON —
+/// exits with usage, so a typo never silently runs the default setup. A
+/// driver that spawns no runtime says so when given --trace or --ledger.
 struct BenchArgs {
   obs::TraceConfig trace;
   std::string json_path;  ///< empty = no JSON emission
 };
 
-inline BenchArgs parse_bench_args(int argc, char** argv) {
+/// What a driver does with the shared flags.
+struct BenchCli {
+  bool json = true;     ///< writes a JSON summary (--json)
+  bool runtime = true;  ///< runs the real runtime (--trace, --ledger)
+};
+
+inline BenchArgs parse_bench_args(int argc, char** argv, BenchCli cli = {}) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       args.trace.enabled = true;
       args.trace.metrics = true;
       args.trace.path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    } else if (cli.json && std::strcmp(argv[i], "--json") == 0 &&
+               i + 1 < argc) {
       args.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--ledger") == 0) {
       args.trace.ledger = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--trace PREFIX] [--json PATH] [--ledger]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--trace PREFIX] [--ledger]%s\n",
+                   argv[0], cli.json ? " [--json PATH]" : "");
       std::exit(2);
     }
+  }
+  if (!cli.runtime && (args.trace.enabled || args.trace.ledger)) {
+    std::printf("note: --trace/--ledger accepted for CLI uniformity, but this "
+                "driver spawns no runtime to observe\n");
   }
   return args;
 }

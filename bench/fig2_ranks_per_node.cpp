@@ -15,10 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace reptile;
-  if (bench::parse_trace_args(argc, argv).enabled) {
-    std::printf("note: --trace accepted for CLI uniformity, but this driver "
-                "only runs the performance model (no runtime to trace)\n");
-  }
+  bench::parse_bench_args(argc, argv, {.json = false, .runtime = false});
   bench::print_header(
       "Figure 2 — execution time of 128 ranks, 4 to 16 nodes (E.Coli)",
       "32 ranks/node ~30% slower than 8; slowdown dominated by communication");

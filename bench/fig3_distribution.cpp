@@ -22,10 +22,7 @@
 
 int main(int argc, char** argv) {
   using namespace reptile;
-  if (bench::parse_trace_args(argc, argv).enabled) {
-    std::printf("note: --trace accepted for CLI uniformity, but this driver "
-                "only runs the performance model (no runtime to trace)\n");
-  }
+  bench::parse_bench_args(argc, argv, {.json = false, .runtime = false});
   bench::print_header(
       "Figure 3 — k-mer and tile count per rank, 128 ranks (E.Coli)",
       "k-mer spread < 1%, tile spread < 2% across ranks");

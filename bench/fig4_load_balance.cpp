@@ -21,7 +21,7 @@
 
 int main(int argc, char** argv) {
   using namespace reptile;
-  const auto trace = bench::parse_trace_args(argc, argv);
+  const auto trace = bench::parse_bench_args(argc, argv, {.json = false}).trace;
   bench::print_header(
       "Figure 4 — load balance on/off, 128 ranks on 4 nodes (E.Coli)",
       "balancing: ~2x total speedup; rank times 4948..16000+ -> ~8886 flat");

@@ -146,33 +146,28 @@ int main(int argc, char** argv) {
   for (const Row& row : fn_rows) {
     config.heuristics = row.heur;
     auto result = parallel::run_distributed(ds.reads, config);
-    std::uint64_t remote = 0, probes = 0, served = 0, hits = 0;
-    std::uint64_t neg_hits = 0, false_positives = 0;
-    std::uint64_t reads_changed = 0, sent_msgs = 0;
+    stats::PhaseTimeline total;  // counters summed over ranks
+    std::uint64_t sent_msgs = 0;
     std::size_t peak = 0;
     for (const auto& r : result.ranks) {
-      remote += r.remote.remote_kmer_lookups + r.remote.remote_tile_lookups;
-      probes += r.service.probe_calls;
-      served += r.service.requests_served;
-      hits += r.remote.prefetch_hits;
-      neg_hits += r.remote.filter_neg_hits;
-      false_positives += r.remote.filter_false_positives;
-      reads_changed += r.reads_changed;
+      total += r.timeline();
       sent_msgs += r.traffic.sent_msgs();
       peak = std::max({peak, r.construction_peak_bytes,
                        r.footprint_after_correction.bytes});
     }
+    const std::uint64_t remote = total.remote.remote_lookups();
     fn.row()
         .cell(row.name)
         .cell(remote)
-        .cell(probes)
-        .cell(served)
-        .cell(hits)
-        .cell(neg_hits)
+        .cell(total.service.probe_calls)
+        .cell(total.service.requests_served)
+        .cell(total.remote.prefetch_hits)
+        .cell(total.remote.filter_neg_hits)
         .cell_fixed(static_cast<double>(peak) / (1 << 20), 2);
     if (row.slug != nullptr) {
-      json_rows.push_back({row.slug, remote, neg_hits, false_positives,
-                           result.total_substitutions(), reads_changed,
+      json_rows.push_back({row.slug, remote, total.remote.filter_neg_hits,
+                           total.remote.filter_false_positives,
+                           total.substitutions, total.reads_changed,
                            sent_msgs});
     }
     if (row.slug != nullptr && std::strcmp(row.slug, "batched_lookups") == 0) {

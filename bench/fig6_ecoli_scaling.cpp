@@ -83,7 +83,6 @@ int main(int argc, char** argv) {
     const auto result = parallel::run_distributed(ds.reads, config);
     bench::ScalingFunctionalRow row;
     row.ranks = ranks;
-    std::uint64_t reads_changed = 0;
     for (const auto& r : result.ranks) {
       row.max_remote_lookups =
           std::max(row.max_remote_lookups, r.remote.remote_lookups());
@@ -97,10 +96,9 @@ int main(int argc, char** argv) {
           std::max(row.ledger_total_peak_bytes, r.ledger_total_peak_bytes);
       row.rss_peak_bytes = std::max(row.rss_peak_bytes,
                                     r.ledger_rss_peak_bytes);
-      reads_changed += r.reads_changed;
     }
     row.substitutions = result.total_substitutions();
-    row.reads_changed = reads_changed;
+    row.reads_changed = result.total_reads_changed();
     fn_rows.push_back(row);
     fn.row().cell(ranks).cell(row.max_remote_lookups).cell(row.substitutions);
   }

@@ -16,11 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace reptile;
-  const auto args = bench::parse_bench_args(argc, argv);
-  if (args.trace.enabled) {
-    std::printf("note: --trace accepted for CLI uniformity, but this driver "
-                "only runs the performance model (no runtime to trace)\n");
-  }
+  const auto args = bench::parse_bench_args(argc, argv, {.runtime = false});
   bench::print_header(
       "Figure 7 — Drosophila scaling, 32-512 nodes (32 ranks/node)",
       "efficiency 0.64 at 8192 ranks; balancing >7x at 8192 ranks; "

@@ -17,11 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace reptile;
-  const auto args = bench::parse_bench_args(argc, argv);
-  if (args.trace.enabled) {
-    std::printf("note: --trace accepted for CLI uniformity, but this driver "
-                "only runs the performance model (no runtime to trace)\n");
-  }
+  const auto args = bench::parse_bench_args(argc, argv, {.runtime = false});
   bench::print_header(
       "Figure 8 — Human dataset scaling, 128-1024 nodes (32 ranks/node)",
       "~2.2 h on 1024 nodes; <512 MB per process throughout; batch reads");

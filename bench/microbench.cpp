@@ -19,8 +19,8 @@
 
 #include "core/corrector.hpp"
 #include "core/spectrum.hpp"
-#include "hash/bloom_filter.hpp"
 #include "hash/count_table.hpp"
+#include "hash/owner_filter.hpp"
 #include "hash/sorted_spectrum.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/lookup_service.hpp"
@@ -141,7 +141,7 @@ BENCHMARK(BM_KmerExtraction);
 void BM_BloomFilterInsert(benchmark::State& state) {
   const auto keys = random_keys(1 << 16, 5);
   for (auto _ : state) {
-    hash::BloomFilter bf(1 << 16, 0.01);
+    hash::OwnerFilter bf(1 << 16, 0.01);
     for (auto k : keys) benchmark::DoNotOptimize(bf.insert(k));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

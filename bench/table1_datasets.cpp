@@ -12,10 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace reptile;
-  if (bench::parse_trace_args(argc, argv).enabled) {
-    std::printf("note: --trace accepted for CLI uniformity, but this driver "
-                "only runs the performance model (no runtime to trace)\n");
-  }
+  bench::parse_bench_args(argc, argv, {.json = false, .runtime = false});
   bench::print_header(
       "Table I — E.Coli, Drosophila and Human datasets",
       "8.87M/95.7M/1549M reads; 102/96/102 chars; 96X/75X/47X coverage");

@@ -94,70 +94,25 @@ void Registry::publish_timeline(const stats::PhaseTimeline& t, int rank,
   if (!enabled()) {
     return;
   }
-  const auto set_counter = [&](const char* name, std::uint64_t value) {
-    if (value != 0) {
-      counter(name, rank, job)->add(value);
-    }
-  };
-  const auto set_gauge = [&](const char* name, double value) {
-    gauge(name, rank, job)->set(value);
-  };
-
-  set_counter("reptile_reads_processed", t.reads_processed);
-  set_counter("reptile_reads_changed", t.reads_changed);
-  set_counter("reptile_substitutions", t.substitutions);
-  set_counter("reptile_tiles_untrusted", t.tiles_untrusted);
-  set_counter("reptile_tiles_fixed", t.tiles_fixed);
-  set_counter("reptile_tiles_degraded", t.tiles_degraded);
-  set_counter("reptile_reads_deadline_skipped", t.reads_deadline_skipped);
-  set_counter("reptile_chunks_built", t.batches);
-
-  set_counter("reptile_lookup_kmer_total", t.lookups.kmer_lookups);
-  set_counter("reptile_lookup_kmer_miss", t.lookups.kmer_misses);
-  set_counter("reptile_lookup_tile_total", t.lookups.tile_lookups);
-  set_counter("reptile_lookup_tile_miss", t.lookups.tile_misses);
-
-  set_counter("reptile_remote_kmer_lookups", t.remote.remote_kmer_lookups);
-  set_counter("reptile_remote_tile_lookups", t.remote.remote_tile_lookups);
-  set_counter("reptile_remote_kmer_absent", t.remote.remote_kmer_absent);
-  set_counter("reptile_remote_tile_absent", t.remote.remote_tile_absent);
-  set_counter("reptile_reads_table_hits", t.remote.reads_table_hits);
-  set_counter("reptile_group_lookups", t.remote.group_lookups);
-  set_counter("reptile_batch_requests", t.remote.batch_requests);
-  set_counter("reptile_batch_ids", t.remote.batch_ids());
-  set_counter("reptile_prefetch_hits", t.remote.prefetch_hits);
-  set_counter("reptile_prefetch_misses", t.remote.prefetch_misses);
-  set_counter("reptile_filter_neg_hits", t.remote.filter_neg_hits);
-  set_counter("reptile_filter_false_positives",
-              t.remote.filter_false_positives);
-  set_counter("reptile_lookup_retries", t.remote.lookup_retries);
-  set_counter("reptile_lookup_timeouts", t.remote.lookup_timeouts);
-  set_counter("reptile_degraded_lookups", t.remote.degraded_lookups);
-  set_counter("reptile_stale_replies_suppressed",
-              t.remote.stale_replies_suppressed);
-  set_counter("reptile_batch_retries", t.remote.batch_retries);
-  set_counter("reptile_batch_abandoned", t.remote.batch_abandoned);
-
-  set_counter("reptile_service_requests", t.service.requests_served);
-  set_counter("reptile_service_kmer_requests", t.service.kmer_requests);
-  set_counter("reptile_service_tile_requests", t.service.tile_requests);
-  set_counter("reptile_service_absent_replies", t.service.absent_replies);
-  set_counter("reptile_service_batch_requests", t.service.batch_requests);
-  set_counter("reptile_service_batch_ids", t.service.batch_ids_served);
-  set_counter("reptile_service_malformed_requests",
-              t.service.malformed_requests);
-  set_counter("reptile_service_filter_stragglers",
-              t.service.filter_stragglers);
-
-  set_gauge("reptile_construct_seconds", t.construct_seconds);
-  set_gauge("reptile_correct_seconds", t.correct_seconds);
-  set_gauge("reptile_comm_seconds", t.comm_seconds);
-  set_gauge("reptile_spectrum_bytes",
-            static_cast<double>(t.footprint_after_construction.bytes));
-  set_gauge("reptile_filter_bytes",
-            static_cast<double>(t.footprint_after_correction.filter_bytes));
-  set_gauge("reptile_construction_peak_bytes",
-            static_cast<double>(t.construction_peak_bytes));
+  // A zero counter stays unregistered; gauges are always set.
+  stats::for_each_counter(
+      [&](const auto& row, const auto& value) {
+        if (row.kind == stats::CounterKind::kGauge) {
+          gauge(row.metric, rank, job)->set(static_cast<double>(value));
+        } else if (value != 0) {
+          counter(row.metric, rank, job)
+              ->add(static_cast<std::uint64_t>(value));
+        }
+      },
+      t);
+  // Derived and footprint values, which have no row of their own.
+  if (const std::uint64_t ids = t.remote.batch_ids(); ids != 0) {
+    counter("reptile_batch_ids", rank, job)->add(ids);
+  }
+  gauge("reptile_spectrum_bytes", rank, job)
+      ->set(static_cast<double>(t.footprint_after_construction.bytes));
+  gauge("reptile_filter_bytes", rank, job)
+      ->set(static_cast<double>(t.footprint_after_correction.filter_bytes));
 }
 
 namespace {

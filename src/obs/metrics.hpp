@@ -181,11 +181,10 @@ class Registry {
   /// reptile_ledger_bytes{account=...} family uses this.
   Gauge* gauge_labelled(std::string_view name, std::string_view label);
 
-  /// Mirrors one rank's harvested stats::PhaseTimeline counters into
-  /// named registry counters/gauges — the single seam absorbing
-  /// LookupStats/RemoteLookupStats/ServiceStats. job >= 0 publishes the
-  /// counters under the (rank, job) pair (serve mode); -1 keeps the
-  /// one-shot rank-only labelling.
+  /// Mirrors one rank's harvested stats::PhaseTimeline into the registry:
+  /// one instrument per counter-table row, plus reptile_batch_ids and the
+  /// footprint gauges. job >= 0 publishes the counters under the (rank,
+  /// job) pair (serve mode); -1 keeps the one-shot rank-only labelling.
   void publish_timeline(const stats::PhaseTimeline& timeline, int rank,
                         std::int64_t job = -1);
 

@@ -22,7 +22,6 @@
 
 #include "core/params.hpp"
 #include "core/spectrum.hpp"
-#include "hash/bloom_filter.hpp"
 #include "hash/count_table.hpp"
 #include "hash/hashing.hpp"
 #include "hash/owner_filter.hpp"
@@ -180,12 +179,12 @@ class DistSpectrum {
   /// One spectrum's exchange-and-merge round.
   void exchange_one(hash::CountTable<>& pending_table,
                     hash::CountTable<>& owned_table,
-                    std::unique_ptr<hash::BloomFilter>& bloom);
+                    std::unique_ptr<hash::OwnerFilter>& bloom);
 
   /// Owner-side insert; with bloom_construction, singletons are parked in
   /// the Bloom filter and admitted to the exact table on second sighting.
   void owner_add(hash::CountTable<>& owned_table,
-                 std::unique_ptr<hash::BloomFilter>& bloom, std::uint64_t id,
+                 std::unique_ptr<hash::OwnerFilter>& bloom, std::uint64_t id,
                  std::uint32_t count);
 
   /// One spectrum's global-count fetch (read-kmers heuristic).
@@ -226,9 +225,9 @@ class DistSpectrum {
   bool kmers_replicated_ = false;
   bool tiles_replicated_ = false;
   /// Bloom filters of the bloom_construction mode (owner-side singleton
-  /// suppression); sized lazily on first use.
-  std::unique_ptr<hash::BloomFilter> bloom_kmer_;
-  std::unique_ptr<hash::BloomFilter> bloom_tile_;
+  /// suppression); sized lazily on first use, ledger-charged as filters.
+  std::unique_ptr<hash::OwnerFilter> bloom_kmer_;
+  std::unique_ptr<hash::OwnerFilter> bloom_tile_;
   /// Peer membership filters of the filter_lookups mode, indexed by owning
   /// rank; a null slot means "no filter — ask over the wire". Written once
   /// by exchange_filters() on the rank main thread before the worker and

@@ -7,12 +7,14 @@
 
 namespace reptile::parallel {
 
-/// One record per rank with the quantities the paper's figures track.
-/// When the metrics registry is enabled for the run, each record also
-/// carries the latency-histogram summaries (lookup RTT, batch prefetch,
-/// service handle, mailbox wait) — gated on the registry rather than
-/// per-histogram presence so every rank's record has the same columns
-/// (RunReport::add enforces one schema per report).
+/// One record per rank with the quantities the paper's figures track: a
+/// column per counter-table row, then derived and footprint columns
+/// (`spectrum_bytes` is the after-construction footprint, like the
+/// reptile_spectrum_bytes gauge). When the metrics registry is enabled for
+/// the run, each record also carries the latency-histogram summaries
+/// (lookup RTT, batch prefetch, service handle, mailbox wait) — gated on
+/// the registry rather than per-histogram presence so every rank's record
+/// has the same columns (RunReport::add enforces one schema per report).
 inline stats::RunReport to_report(const DistResult& result,
                                   const std::string& title) {
   const bool metrics = obs::Registry::global().enabled();
@@ -25,43 +27,19 @@ inline stats::RunReport to_report(const DistResult& result,
   };
   stats::RunReport report(title);
   for (const RankReport& r : result.ranks) {
-    report.record()
-        .add("rank", r.rank)
-        .add("reads", static_cast<double>(r.reads_processed))
-        .add("reads_changed", static_cast<double>(r.reads_changed))
-        .add("substitutions", static_cast<double>(r.substitutions))
-        .add("tiles_untrusted", static_cast<double>(r.tiles_untrusted))
-        .add("kmer_lookups", static_cast<double>(r.lookups.kmer_lookups))
-        .add("tile_lookups", static_cast<double>(r.lookups.tile_lookups))
-        .add("remote_kmer_lookups",
-             static_cast<double>(r.remote.remote_kmer_lookups))
-        .add("remote_tile_lookups",
-             static_cast<double>(r.remote.remote_tile_lookups))
-        .add("requests_served",
-             static_cast<double>(r.service.requests_served))
-        .add("probe_calls", static_cast<double>(r.service.probe_calls))
-        .add("batch_requests", static_cast<double>(r.remote.batch_requests))
-        .add("batch_kmer_ids", static_cast<double>(r.remote.batch_kmer_ids))
-        .add("batch_tile_ids", static_cast<double>(r.remote.batch_tile_ids))
-        .add("avg_batch_size", r.remote.avg_batch_size())
+    report.record().add("rank", r.rank);
+    stats::for_each_counter(
+        [&report](const auto& row, const auto& value) {
+          report.add(row.column, static_cast<double>(value));
+        },
+        r);
+    report.add("avg_batch_size", r.remote.avg_batch_size())
         .add("dedup_ratio", r.remote.dedup_ratio())
-        .add("prefetch_hits", static_cast<double>(r.remote.prefetch_hits))
         .add("prefetch_hit_rate", r.remote.prefetch_hit_rate())
-        .add("filter_neg_hits",
-             static_cast<double>(r.remote.filter_neg_hits))
-        .add("filter_false_positives",
-             static_cast<double>(r.remote.filter_false_positives))
+        .add("spectrum_bytes",
+             static_cast<double>(r.footprint_after_construction.bytes))
         .add("filter_bytes",
              static_cast<double>(r.footprint_after_correction.filter_bytes))
-        .add("batch_requests_served",
-             static_cast<double>(r.service.batch_requests))
-        .add("construct_seconds", r.construct_seconds)
-        .add("correct_seconds", r.correct_seconds)
-        .add("comm_seconds", r.comm_seconds)
-        .add("spectrum_bytes",
-             static_cast<double>(r.footprint_after_correction.bytes))
-        .add("construction_peak_bytes",
-             static_cast<double>(r.construction_peak_bytes))
         .add("sent_msgs", static_cast<double>(r.traffic.sent_msgs()))
         .add("sent_bytes", static_cast<double>(r.traffic.sent_bytes()))
         .add("largest_msg_bytes",
@@ -77,21 +55,7 @@ inline stats::RunReport to_report(const DistResult& result,
              static_cast<double>(r.check.unanswered_requests))
         .add("check_max_pending_at_barrier",
              static_cast<double>(r.check.max_pending_at_barrier))
-        // Fault-injection / retry-protocol columns (all 0 on fault-free
-        // runs with retries disabled).
-        .add("tiles_degraded", static_cast<double>(r.tiles_degraded))
-        .add("lookup_retries", static_cast<double>(r.remote.lookup_retries))
-        .add("lookup_timeouts",
-             static_cast<double>(r.remote.lookup_timeouts))
-        .add("degraded_lookups",
-             static_cast<double>(r.remote.degraded_lookups))
-        .add("stale_replies_suppressed",
-             static_cast<double>(r.remote.stale_replies_suppressed))
-        .add("batch_retries", static_cast<double>(r.remote.batch_retries))
-        .add("batch_abandoned",
-             static_cast<double>(r.remote.batch_abandoned))
-        .add("malformed_requests",
-             static_cast<double>(r.service.malformed_requests))
+        // Fault-injection columns (all 0 on fault-free runs).
         .add("chaos_dropped_msgs",
              static_cast<double>(r.traffic.dropped_msgs))
         .add("chaos_duplicated_msgs",

@@ -152,12 +152,7 @@ class LocalSpectrumModel final : public SpectrumModel {
     core::SpectrumView& view() override { return *spectrum_; }
 
     void harvest(stats::PhaseTimeline& acc) override {
-      core::LookupStats delta = spectrum_->stats();
-      delta.kmer_lookups -= before_.kmer_lookups;
-      delta.kmer_misses -= before_.kmer_misses;
-      delta.tile_lookups -= before_.tile_lookups;
-      delta.tile_misses -= before_.tile_misses;
-      acc.lookups += delta;
+      acc.lookups += stats::counters_since(spectrum_->stats(), before_);
     }
 
    private:

@@ -49,6 +49,15 @@ void sample_ledger(stats::PhaseTimeline& report, bool at_build_end) {
   report.ledger_rss_peak_bytes = snap.rss_peak_bytes;
 }
 
+/// Folds one read's correction outcome into a (partial) report.
+void tally(stats::PhaseTimeline& report, const core::ReadCorrection& rc) {
+  if (rc.changed()) ++report.reads_changed;
+  report.substitutions += static_cast<std::uint64_t>(rc.substitutions);
+  report.tiles_untrusted += static_cast<std::uint64_t>(rc.tiles_untrusted);
+  report.tiles_fixed += static_cast<std::uint64_t>(rc.tiles_fixed);
+  report.tiles_degraded += static_cast<std::uint64_t>(rc.tiles_degraded);
+}
+
 }  // namespace
 
 void StageGraph::run(RankContext& ctx) {
@@ -198,12 +207,7 @@ void CorrectStage::run(RankContext& ctx) {
       span.arg("reads", local_batch.size());
       handle->prefetch_chunk(local_batch);
       for (seq::Read& r : local_batch) {
-        const core::ReadCorrection rc = corrector.correct(r, handle->view());
-        if (rc.changed()) ++acc.reads_changed;
-        acc.substitutions += static_cast<std::uint64_t>(rc.substitutions);
-        acc.tiles_untrusted += static_cast<std::uint64_t>(rc.tiles_untrusted);
-        acc.tiles_fixed += static_cast<std::uint64_t>(rc.tiles_fixed);
-        acc.tiles_degraded += static_cast<std::uint64_t>(rc.tiles_degraded);
+        tally(acc, corrector.correct(r, handle->view()));
         corrected.push_back(std::move(r));
       }
     }
@@ -228,20 +232,9 @@ void CorrectStage::run(RankContext& ctx) {
   for (auto& part : per_worker) {
     for (auto& r : part) ctx.job.corrected.push_back(std::move(r));
   }
-  for (const stats::PhaseTimeline& acc : worker_acc) {
-    ctx.job.report.reads_changed += acc.reads_changed;
-    ctx.job.report.substitutions += acc.substitutions;
-    ctx.job.report.tiles_untrusted += acc.tiles_untrusted;
-    ctx.job.report.tiles_fixed += acc.tiles_fixed;
-    ctx.job.report.tiles_degraded += acc.tiles_degraded;
-    ctx.job.report.reads_deadline_skipped += acc.reads_deadline_skipped;
-    ctx.job.report.lookups += acc.lookups;
-    ctx.job.report.remote += acc.remote;
-    // The per-rank communication time is the wall time any worker spent
-    // blocked; with concurrent workers we report the maximum.
-    ctx.job.report.comm_seconds =
-        std::max(ctx.job.report.comm_seconds, acc.comm_seconds);
-  }
+  // Counters sum across workers; comm_seconds is a gauge, so the rank
+  // reports the longest any worker spent blocked.
+  for (const stats::PhaseTimeline& acc : worker_acc) ctx.job.report += acc;
   model.harvest_service(ctx.job.report);
   model.record_correction_footprint(ctx.job.report);
   sample_ledger(ctx.job.report, /*at_build_end=*/false);
@@ -308,13 +301,7 @@ void WorkQueueCorrectStage::run(RankContext& ctx) {
     span.arg("reads", grant.end - grant.begin);
     for (std::uint64_t i = grant.begin; i < grant.end; ++i) {
       seq::Read read = (*all_reads_)[i];
-      const core::ReadCorrection rc = corrector.correct(read, handle->view());
-      if (rc.changed()) ++ctx.job.report.reads_changed;
-      ctx.job.report.substitutions +=
-          static_cast<std::uint64_t>(rc.substitutions);
-      ctx.job.report.tiles_untrusted +=
-          static_cast<std::uint64_t>(rc.tiles_untrusted);
-      ctx.job.report.tiles_fixed += static_cast<std::uint64_t>(rc.tiles_fixed);
+      tally(ctx.job.report, corrector.correct(read, handle->view()));
       ++ctx.job.report.reads_processed;
       ctx.job.corrected.push_back(std::move(read));
     }

@@ -1,11 +1,16 @@
 // Unit tests: machine-readable run reports (CSV/JSON), the schema
-// validation in RunReport::add, the Stopwatch monotonic-clock pin, and the
-// DistResult flattening.
+// validation in RunReport::add, the Stopwatch monotonic-clock pin, the
+// DistResult flattening, and the counter table that drives it.
 #include "stats/report.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "parallel/report.hpp"
 #include "seq/dataset.hpp"
@@ -141,6 +146,67 @@ TEST(DistReport, FlattensEveryRank) {
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 5);
   const auto json = report.to_json();
   EXPECT_NE(json.find("\"records\":[{"), std::string::npos);
+}
+
+// --- the counter table -------------------------------------------------------
+
+/// Gives the table's rows the distinct values base, base + 1, ... (plus
+/// .5 in the double gauges, so a lost fraction shows).
+void fill_rows(PhaseTimeline& t, std::uint64_t base) {
+  for_each_counter(
+      [&base](const auto&, auto& value) {
+        value = static_cast<std::remove_reference_t<decltype(value)>>(
+            static_cast<double>(base++) + 0.5);
+      },
+      t);
+}
+
+TEST(CounterTable, EveryRowReachesPrometheusAndTheReportOnce) {
+  parallel::DistResult result;
+  parallel::RankReport& r = result.ranks.emplace_back();
+  r.rank = 3;
+  fill_rows(r, 1000);
+  obs::Registry& registry = obs::Registry::global();
+  registry.configure(true);
+  registry.publish_timeline(r, r.rank);
+  const std::string text = registry.prometheus_text();
+  registry.configure(false);
+  const std::string json = parallel::to_report(result, "table").to_json();
+
+  std::set<std::string> metrics, columns;
+  for_each_counter(
+      [&](const auto& row, const auto& value) {
+        EXPECT_TRUE(metrics.insert(row.metric).second) << row.metric;
+        EXPECT_TRUE(columns.insert(row.column).second) << row.column;
+        std::ostringstream metric;
+        metric << "# TYPE " << row.metric
+               << (row.kind == CounterKind::kGauge ? " gauge\n" : " counter\n")
+               << row.metric << "{rank=\"3\"} " << value << '\n';
+        EXPECT_NE(text.find(metric.str()), std::string::npos) << metric.str();
+        std::ostringstream column;
+        column << '"' << row.column << "\":" << value << ',';
+        EXPECT_NE(json.find(column.str()), std::string::npos) << column.str();
+      },
+      r);
+  EXPECT_EQ(metrics.size(), 48u);  // 13 timeline, 4 + 22 + 9 nested
+}
+
+TEST(CounterTable, MergeSumsCountersAndKeepsTheMaxOfGauges) {
+  PhaseTimeline a;
+  PhaseTimeline b;
+  fill_rows(a, 10);
+  fill_rows(b, 500);
+  a.comm_seconds = 900;  // the larger gauge is a's here, b's elsewhere
+  PhaseTimeline merged = a;
+  merged += b;
+  for_each_counter(
+      [](const auto& row, const auto& m, const auto& x, const auto& y) {
+        EXPECT_EQ(m, row.kind == CounterKind::kCounter ? x + y : std::max(x, y))
+            << row.column;
+      },
+      merged, a, b);
+  EXPECT_EQ(merged.comm_seconds, 900);
+  EXPECT_EQ(merged.correct_seconds, b.correct_seconds);
 }
 
 }  // namespace

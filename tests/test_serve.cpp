@@ -21,6 +21,7 @@
 #include <future>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "parallel/dist_pipeline.hpp"
 #include "seq/dataset.hpp"
 #include "seq/fasta_io.hpp"
@@ -387,6 +388,24 @@ TEST(ServeLifecycle, SingleRankServerWorks) {
                     reference.corrected);
   server.shutdown();
   EXPECT_EQ(server.stats().spectrum_builds, 1u);
+}
+
+TEST(ServeLifecycle, FlightRingsStayBoundedAcrossJobs) {
+  // Every job spawns a fresh service thread per rank; with tracing off an
+  // exited thread's flight ring is reused, so the count stops growing.
+  const std::vector<seq::Read> reads = dataset(79, 200);
+  CorrectionServer server(reads, base_config(2, make_heur(true, true, false)));
+  const auto rings_after = [&](int jobs) {
+    for (int j = 0; j < jobs; ++j) {
+      JobRequest request;
+      request.reads = reads;
+      server.submit(std::move(request)).get();
+    }
+    return obs::Tracer::instance().buffer_count();
+  };
+  const std::size_t warm = rings_after(2);
+  EXPECT_EQ(rings_after(10), warm);
+  server.shutdown();
 }
 
 }  // namespace
