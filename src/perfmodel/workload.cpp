@@ -360,7 +360,7 @@ std::vector<RankWorkload> synthesize_workload(
         (kept_full + dropped_full) / np * table_bytes_per_entry;
     if (heur.bloom_construction) {
       // Exact tables hold only the kept entries; every distinct ID costs
-      // ~9.6 filter bits (1% false-positive sizing) instead.
+      // ~9.5 filter bits (DistSpectrum::owner_add's sizing) instead.
       const double bloom_bytes = (kept_full + dropped_full) / np * 1.2;
       preprune_owned = kept_full / np * table_bytes_per_entry + bloom_bytes;
     }

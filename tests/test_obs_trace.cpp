@@ -20,6 +20,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -415,6 +416,27 @@ TEST(ObsTrace, FlightRecorderKeepsTailWithoutFullTracing) {
   const int keep[] = {7};
   EXPECT_EQ(Tracer::instance().tail_text(8, keep).find("tick"),
             std::string::npos);
+}
+
+TEST(ObsTrace, ReusedFlightRingGetsAFreshThreadName) {
+  ObsReset reset;
+  Tracer::instance().configure(obs::TraceConfig{});  // flight recorder only
+  const auto tail_after_thread = [](const char* event) {
+    std::thread([event] { Tracer::instance().instant("test", event); }).join();
+    return Tracer::instance().tail_text(8);
+  };
+  const std::string first = tail_after_thread("first");
+  const std::size_t rings = Tracer::instance().buffer_count();
+  const std::string second = tail_after_thread("second");
+  // The second thread took over the exited first thread's ring...
+  EXPECT_EQ(Tracer::instance().buffer_count(), rings);
+  EXPECT_EQ(second.find("first"), std::string::npos);
+  ASSERT_NE(second.find("second"), std::string::npos);
+  // ...but not its name: neither thread set a label, so each shows as
+  // "thread<tid>", and the tail must not pin the event on the exited one.
+  const std::string first_label =
+      first.substr(first.find('['), first.find(']') - first.find('[') + 1);
+  EXPECT_EQ(second.find(first_label), std::string::npos) << second;
 }
 
 // --- json parser -----------------------------------------------------------
