@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
                           "correct s", "comm s", "MB/rank", "vs g=1"});
   double base_total = 0;
   for (int group : {1, 32, 128, 256, 512, 1024}) {
-    parallel::Heuristics heur;
+    parallel::Heuristics heur = bench::paper_heuristics();
     heur.partial_replication_group = group;
     const auto workload = perfmodel::synthesize_workload(
         traits, full, kRanks, kRanksPerNode, heur);
@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
   config.params.chunk_size = 256;
   config.ranks = 8;
   config.ranks_per_node = 4;
+  config.heuristics = bench::paper_heuristics();
   stats::TextTable fn({"group size", "remote lookups", "group-table hits",
                        "peak MB (max rank)", "identical output"});
   std::vector<seq::Read> reference;
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
   stats::TextTable bloom({"construction", "construction peak MB/rank",
                           "steady MB/rank"});
   for (const bool use_bloom : {false, true}) {
-    parallel::Heuristics heur;
+    parallel::Heuristics heur = bench::paper_heuristics();
     heur.bloom_construction = use_bloom;
     const auto workload = perfmodel::synthesize_workload(
         traits, full, kRanks, kRanksPerNode, heur);

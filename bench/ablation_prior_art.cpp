@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
   dist_config.run_options.check.enabled = false;  // benchmark: no rtm-check hooks
   dist_config.ranks = 8;
   dist_config.ranks_per_node = 4;
+  dist_config.heuristics = bench::paper_heuristics();
   const auto dist = parallel::run_distributed(ds.reads, dist_config);
 
   const bool identical = baseline.corrected == dist.corrected;

@@ -157,6 +157,17 @@ inline bool write_scaling_json(const std::string& path, const char* figure,
 /// Corrector parameters used across the reproduction benches. k=12 tiles of
 /// 20 bp, threshold 3, and a wide per-tile search (the paper's workload is
 /// dominated by candidate-tile lookups).
+/// The paper's heuristics defaults: the base mode with load balancing and
+/// the scalar lookup protocol (one blocking round trip per remote lookup),
+/// which is what the modeled figures and their functional checks
+/// reproduce. The chunk wavefront (batch_lookups, on by default) is an
+/// extension; fig5 measures it in its own rows.
+inline parallel::Heuristics paper_heuristics() {
+  parallel::Heuristics h;
+  h.batch_lookups = false;
+  return h;
+}
+
 inline core::CorrectorParams bench_params() {
   core::CorrectorParams p;
   p.k = 12;

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   const auto full = seq::DatasetSpec::ecoli();
   const auto traits = bench::bench_traits(full);
   const auto machine = perfmodel::MachineModel::bluegene_q();
-  parallel::Heuristics heur;  // balanced base mode
+  const parallel::Heuristics heur = bench::paper_heuristics();
 
   constexpr int kRanks = 128;
   stats::TextTable table({"ranks/node", "nodes", "construct s", "compute s",

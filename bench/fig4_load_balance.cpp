@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
                           "errors/rank max", "remote tiles/rank min (M)",
                           "max (M)"});
   for (const bool balance : {false, true}) {
-    parallel::Heuristics heur;
+    parallel::Heuristics heur = bench::paper_heuristics();
     heur.load_balance = balance;
     const auto workload = perfmodel::synthesize_workload(
         traits, full, kRanks, kRanksPerNode, heur);
@@ -74,6 +74,7 @@ int main(int argc, char** argv) {
   config.params.chunk_size = 256;
   config.ranks = 8;
   config.ranks_per_node = 4;
+  config.heuristics = bench::paper_heuristics();
 
   stats::TextTable fn({"mode", "untrusted tiles/rank min", "max",
                        "remote lookups/rank min", "max", "spread"});

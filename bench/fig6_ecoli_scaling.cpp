@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
   const auto machine = perfmodel::MachineModel::bluegene_q();
   constexpr int kRanksPerNode = 32;
 
-  parallel::Heuristics balanced;
-  parallel::Heuristics imbalanced;
+  const parallel::Heuristics balanced = bench::paper_heuristics();
+  parallel::Heuristics imbalanced = bench::paper_heuristics();
   imbalanced.load_balance = false;
 
   stats::TextTable table({"nodes", "ranks", "construct s", "correct s",
@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   config.run_options.check.enabled = false;  // benchmark: no rtm-check hooks
   config.params.chunk_size = 256;
   config.ranks_per_node = 4;
+  config.heuristics = balanced;
   stats::TextTable fn({"ranks", "remote lookups (max rank)", "substitutions"});
   std::vector<bench::ScalingFunctionalRow> fn_rows;
   for (int ranks : {2, 4, 8, 16}) {

@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
   const auto machine = perfmodel::MachineModel::bluegene_q();
   constexpr int kRanksPerNode = 32;
 
-  parallel::Heuristics balanced;
+  parallel::Heuristics balanced = bench::paper_heuristics();
   balanced.batch_reads = true;  // as the paper's 1024-rank run
-  parallel::Heuristics imbalanced;
+  parallel::Heuristics imbalanced = bench::paper_heuristics();
   imbalanced.load_balance = false;
   imbalanced.batch_reads = true;
 

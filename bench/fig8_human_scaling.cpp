@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   perfmodel::RunEstimate baseline;
   for (int nodes : {128, 256, 512, 1024}) {
     const int np = nodes * kRanksPerNode;
-    parallel::Heuristics heur;
+    parallel::Heuristics heur = bench::paper_heuristics();
     heur.batch_reads = true;
     auto t = traits;
     t.params.chunk_size = nodes <= 256 ? 5000 : 10000;  // paper's settings
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   };
   for (const Case& c : cases) {
     const auto t = bench::bench_traits(c.spec);
-    parallel::Heuristics heur;
+    parallel::Heuristics heur = bench::paper_heuristics();
     heur.batch_reads = c.batch;
     const int np = c.nodes * kRanksPerNode;
     const auto run =

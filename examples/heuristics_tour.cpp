@@ -50,6 +50,7 @@ int main(int argc, char** argv) {
 
   auto with = [&](auto setup) {
     parallel::Heuristics h;  // load_balance defaults on
+    h.batch_lookups = false;  // the paper's scalar lookup protocol
     setup(h);
     return h;
   };
@@ -69,6 +70,7 @@ int main(int argc, char** argv) {
        with([](auto& h) { h.partial_replication_group = 4; })},
       {"bloom_construction",
        with([](auto& h) { h.bloom_construction = true; })},
+      {"batch_lookups", with([](auto& h) { h.batch_lookups = true; })},
   };
 
   std::printf("dataset: %llu reads, %d ranks — identical output expected in "
@@ -116,6 +118,9 @@ int main(int argc, char** argv) {
       "lookups;\n"
       " - allgather_tiles kills the dominant tile traffic, allgather_both "
       "kills all of it, both at a large memory cost;\n"
-      " - batch_reads caps the construction-phase peak memory.\n");
+      " - batch_reads caps the construction-phase peak memory;\n"
+      " - batch_lookups (the chunk wavefront, the default outside this tour)\n"
+      "   sends every remote lookup inside vectored batches: no scalar\n"
+      "   round trips at all.\n");
   return 0;
 }

@@ -10,15 +10,15 @@ TileCorrector::TileCorrector(const CorrectorParams& params)
   params_.validate();
 }
 
-void TileCorrector::pick_positions(const seq::Read& read, int tile_pos,
-                                   std::vector<int>& out) const {
+void TileCorrector::pick_positions(std::span<const seq::qual_t> quals,
+                                   int tile_pos, std::vector<int>& out) const {
   const int tlen = tile_codec_.tile_len();
   out.clear();
   out.reserve(static_cast<std::size_t>(tlen));
   for (int off = 0; off < tlen; ++off) out.push_back(off);
   std::stable_sort(out.begin(), out.end(), [&](int a, int b) {
-    const auto qa = read.quals[static_cast<std::size_t>(tile_pos + a)];
-    const auto qb = read.quals[static_cast<std::size_t>(tile_pos + b)];
+    const auto qa = quals[static_cast<std::size_t>(tile_pos + a)];
+    const auto qb = quals[static_cast<std::size_t>(tile_pos + b)];
     if (qa != qb) return qa < qb;
     return a < b;
   });
@@ -26,7 +26,7 @@ void TileCorrector::pick_positions(const seq::Read& read, int tile_pos,
     // Original Reptile: only low-quality bases are suspected; drop every
     // position at or above the quality threshold.
     const auto first_high = std::find_if(out.begin(), out.end(), [&](int off) {
-      return read.quals[static_cast<std::size_t>(tile_pos + off)] >=
+      return quals[static_cast<std::size_t>(tile_pos + off)] >=
              params_.qual_threshold;
     });
     out.erase(first_high, out.end());
@@ -48,11 +48,13 @@ bool TileCorrector::acceptable(seq::tile_id_t tile, SpectrumView& spectrum,
   return spectrum.kmer_count(second) >= params_.kmer_threshold;
 }
 
-int TileCorrector::try_fix_tile(seq::Read& read, int tile_pos,
+int TileCorrector::try_fix_tile(std::string& bases,
+                                std::span<const seq::qual_t> quals,
+                                int tile_pos,
                                 seq::tile_id_t tile, SpectrumView& spectrum,
                                 std::uint64_t degraded_before) const {
   std::vector<int> positions;
-  pick_positions(read, tile_pos, positions);
+  pick_positions(quals, tile_pos, positions);
 
   Candidate best;
   std::uint32_t second_best = 0;
@@ -78,6 +80,10 @@ int TileCorrector::try_fix_tile(seq::Read& read, int tile_pos,
       }
     }
   }
+
+  // A degraded gate or Hamming-1 lookup already decides the outcome (no
+  // substitution, see the guard below), so the Hamming-2 search is skipped.
+  if (spectrum.degraded_lookups() != degraded_before) return 0;
 
   // Hamming distance 2 only when no single substitution was acceptable.
   if (best.count == 0 && params_.max_hamming >= 2) {
@@ -117,47 +123,59 @@ int TileCorrector::try_fix_tile(seq::Read& read, int tile_pos,
   if (spectrum.degraded_lookups() != degraded_before) return 0;
 
   int applied = 0;
-  read.bases[static_cast<std::size_t>(tile_pos + best.off1)] =
+  bases[static_cast<std::size_t>(tile_pos + best.off1)] =
       seq::char_from_base(best.base1);
   ++applied;
   if (best.off2 >= 0) {
-    read.bases[static_cast<std::size_t>(tile_pos + best.off2)] =
+    bases[static_cast<std::size_t>(tile_pos + best.off2)] =
         seq::char_from_base(best.base2);
     ++applied;
   }
   return applied;
 }
 
-ReadCorrection TileCorrector::correct(seq::Read& read,
-                                      SpectrumView& spectrum) const {
-  ReadCorrection result;
-  const int tlen = tile_codec_.tile_len();
-  if (read.length() < tlen) return result;
-  assert(read.quals.size() == read.bases.size());
-
-  const std::vector<int> tile_positions =
-      tile_codec_.tile_positions(read.length());
+bool TileCorrector::advance(std::string& bases,
+                            std::span<const seq::qual_t> quals, Cursor& cursor,
+                            SpectrumView& spectrum, bool hold_degraded) const {
+  assert(quals.size() == bases.size());
   const seq::KmerCodec& tc = tile_codec_.as_kmer_codec();
-
-  for (int pos : tile_positions) {
-    if (result.substitutions >= params_.max_corrections_per_read) break;
-    const seq::tile_id_t tile = tc.pack(
-        std::string_view(read.bases).substr(static_cast<std::size_t>(pos)));
+  ReadCorrection& result = cursor.result;
+  for (;; ++cursor.tile) {
+    const int pos =
+        tile_codec_.tile_position(static_cast<int>(bases.size()), cursor.tile);
+    if (pos < 0 || result.substitutions >= params_.max_corrections_per_read) {
+      return true;
+    }
+    const seq::tile_id_t tile =
+        tc.pack(std::string_view(bases).substr(static_cast<std::size_t>(pos)));
     // Snapshot the degradation counter BEFORE the gate lookup: a degraded
     // gate can make a trusted tile look untrusted, so the whole decision
     // (gate + candidate evaluation) must be covered by the guard.
     const std::uint64_t degraded_before = spectrum.degraded_lookups();
     if (spectrum.tile_count(tile) >= params_.tile_threshold) continue;
+    const int applied =
+        spectrum.degraded_lookups() != degraded_before
+            ? 0
+            : try_fix_tile(bases, quals, pos, tile, spectrum, degraded_before);
+    const bool degraded = spectrum.degraded_lookups() != degraded_before;
+    // A degraded decision never changes the read, so holding it leaves
+    // nothing to undo.
+    if (degraded && hold_degraded) return false;
     ++result.tiles_untrusted;
-    const int applied = try_fix_tile(read, pos, tile, spectrum, degraded_before);
     if (applied > 0) {
       result.substitutions += applied;
       ++result.tiles_fixed;
-    } else if (spectrum.degraded_lookups() != degraded_before) {
+    } else if (degraded) {
       ++result.tiles_degraded;
     }
   }
-  return result;
+}
+
+ReadCorrection TileCorrector::correct(seq::Read& read,
+                                      SpectrumView& spectrum) const {
+  Cursor cursor;
+  advance(read.bases, read.quals, cursor, spectrum, /*hold_degraded=*/false);
+  return cursor.result;
 }
 
 }  // namespace reptile::core

@@ -19,7 +19,11 @@
 // sequential baseline and every distributed configuration produce
 // bit-identical corrected reads — the property the integration tests pin.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/params.hpp"
 #include "core/spectrum.hpp"
@@ -47,8 +51,28 @@ class TileCorrector {
   const CorrectorParams& params() const noexcept { return params_; }
   const seq::TileCodec& tile_codec() const noexcept { return tile_codec_; }
 
-  /// Corrects `read` in place against `spectrum`. The read's qualities are
-  /// left untouched (Reptile emits corrected bases only).
+  /// A read part-way through correction: the index of the next tile to
+  /// decide and the outcome of the tiles decided so far.
+  struct Cursor {
+    std::size_t tile = 0;
+    ReadCorrection result;
+  };
+
+  /// Decides the tiles of a read (`bases`, corrected in place, and its
+  /// `quals`) from `cursor` on. Returns true once the read is finished.
+  /// With `hold_degraded`, a tile decision that saw a degraded lookup is
+  /// not taken: the bases and the cursor stay on that tile and advance()
+  /// returns false, so a caller that can fill in the missing evidence
+  /// decides the tile again later (the chunk wavefront of
+  /// parallel::RemoteSpectrumView). Without it the tile is counted
+  /// degraded and left as it is.
+  bool advance(std::string& bases, std::span<const seq::qual_t> quals,
+               Cursor& cursor, SpectrumView& spectrum,
+               bool hold_degraded) const;
+
+  /// Corrects `read` in place against `spectrum`: a cursor advanced to the
+  /// end. The read's qualities are left untouched (Reptile emits corrected
+  /// bases only).
   ReadCorrection correct(seq::Read& read, SpectrumView& spectrum) const;
 
  private:
@@ -64,13 +88,14 @@ class TileCorrector {
   };
 
   /// Attempts to fix the untrusted tile `tile` at read offset `tile_pos`.
-  /// On success applies the substitutions to `read` and returns the number
+  /// On success applies the substitutions to `bases` and returns the number
   /// of bases changed (0 = no unambiguous fix found). `degraded_before` is
   /// the spectrum's degraded_lookups() value from before the tile's gate
   /// lookup: if any lookup degraded since then, the candidate evidence is
-  /// unreliable and no substitution is applied.
-  int try_fix_tile(seq::Read& read, int tile_pos, seq::tile_id_t tile,
-                   SpectrumView& spectrum,
+  /// unreliable and no substitution is applied. The outcome is then already
+  /// known, so the search stops after the Hamming-1 phase.
+  int try_fix_tile(std::string& bases, std::span<const seq::qual_t> quals,
+                   int tile_pos, seq::tile_id_t tile, SpectrumView& spectrum,
                    std::uint64_t degraded_before) const;
 
   /// True when `tile` is supported: tile count above threshold and both
@@ -80,7 +105,7 @@ class TileCorrector {
 
   /// Selects up to max_positions_per_tile tile offsets, lowest quality
   /// first (ties by offset).
-  void pick_positions(const seq::Read& read, int tile_pos,
+  void pick_positions(std::span<const seq::qual_t> quals, int tile_pos,
                       std::vector<int>& out) const;
 
   CorrectorParams params_;

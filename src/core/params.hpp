@@ -50,11 +50,12 @@ struct CorrectorParams {
   /// configuration-file chunk size).
   std::size_t chunk_size = 1024;
 
-  /// Upper bound on entries held in a correction worker's chunk-local
-  /// prefetch cache (the batched-lookup extension). The cache is cleared at
-  /// every chunk boundary; within a chunk at most this many IDs are
-  /// prefetched or cached from scalar replies, so correction-phase memory
-  /// stays capped no matter the chunk contents.
+  /// Upper bound on entries held in a correction worker's chunk cache (the
+  /// chunk wavefront of the batch_lookups heuristic). The cache is cleared
+  /// at every chunk boundary; within a chunk at most this many IDs are
+  /// fetched or cached from scalar replies, so correction-phase memory
+  /// stays capped no matter the chunk contents. A chunk that needs more
+  /// ends its wavefront early and looks the rest up one by one.
   std::size_t prefetch_capacity = std::size_t{1} << 20;
 
   /// Upper bound on entries the add_remote heuristic may append to the

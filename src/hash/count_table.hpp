@@ -57,7 +57,7 @@ class CountTable {
   }
 
   /// Re-attributes this table's bytes to a different ledger account —
-  /// e.g. RemoteSpectrumView's prefetch caches bill remote_cache, not
+  /// e.g. RemoteSpectrumView's chunk cache bills remote_cache, not
   /// count_table. The current balance follows the handle.
   void bind_ledger_account(obs::LedgerAccount account) {
     charge_.bind(account);

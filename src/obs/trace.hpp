@@ -21,7 +21,8 @@
 //   stage   / stage:<name>       one pipeline stage of one rank ('X')
 //   chunk   / chunk:build|correct one chunk through a stage ('X')
 //   lookup  / lookup_rtt         scalar remote lookup round trip ('X')
-//   lookup  / batch_prefetch     one vectored prefetch round trip ('X')
+//   lookup  / batch_prefetch     one chunk's lookup wavefront ('X')
+//   lookup  / batch_round        one wavefront round's batches ('X')
 //   service / serve:<kind>       one request handled by a comm thread ('X')
 //   mailbox / mailbox:wait       a blocking receive that actually blocked
 //   chaos   / chaos:<fault>      fault-injection decision ('i', instant)

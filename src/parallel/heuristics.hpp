@@ -1,9 +1,10 @@
 #pragma once
 // Execution-mode flags: the paper's heuristics (Section III-B).
 //
-// Every flag corresponds to one heuristic evaluated in Fig. 5; the default
-// configuration (all off except load_balance) is the paper's base mode,
-// and the paper's preferred production setting is
+// Every paper flag corresponds to one heuristic evaluated in Fig. 5. The
+// defaults turn on load_balance and the batch_lookups extension (the chunk
+// wavefront); with batch_lookups off, the defaults are the paper's base
+// mode. The paper's preferred production setting is
 // {universal, batch_reads, load_balance}.
 
 #include <stdexcept>
@@ -38,15 +39,16 @@ struct Heuristics {
   /// reads and empty the reads tables, capping construction memory.
   bool batch_reads = false;
 
-  /// Batched remote lookups (extension beyond the paper, see DESIGN.md):
-  /// before correcting a chunk, every non-locally-resolvable k-mer/tile ID
-  /// of the chunk's reads is deduplicated, bucketed by owning rank, and
-  /// fetched with one vectored request per owner. Replies fill a bounded
-  /// chunk-local prefetch cache consulted before the scalar remote
-  /// fallback, so the correction inner loop is latency-bound only on the
-  /// rare mid-correction candidate miss. Output is bit-identical to the
-  /// scalar protocol.
-  bool batch_lookups = false;
+  /// Chunk wavefront (extension beyond the paper, see DESIGN.md §4b):
+  /// before correcting a chunk, the worker resolves every lookup the
+  /// chunk's correction will send to an owner in rounds — each round one
+  /// vectored request per owner per kind, carrying the deduplicated IDs
+  /// that the chunk's reads are blocked on. Replies fill a bounded chunk
+  /// cache consulted before the scalar remote fallback, so the corrector
+  /// makes the same lookups and none of them waits on the wire. Output is
+  /// bit-identical to the scalar protocol. Off selects the paper's scalar
+  /// protocol: one blocking round trip per remote lookup.
+  bool batch_lookups = true;
 
   /// Filter-accelerated remote lookups (extension beyond the paper, see
   /// DESIGN.md §9): after Step III every rank broadcasts a blocked-Bloom

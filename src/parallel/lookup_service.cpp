@@ -47,9 +47,9 @@ void LookupService::reply(int requester, LookupKind kind, std::uint64_t id,
 }
 
 void LookupService::reply_batch(const rtm::Message& msg) {
-  BatchLookupRequest req;
+  BatchRequestView req;
   try {
-    req = decode_batch_request(msg.payload);
+    req = view_batch_request(msg.payload);
   } catch (const std::runtime_error&) {
     // Truncated/garbled by fault injection: drop unanswered, the
     // requester's timeout retry recovers.
@@ -58,15 +58,14 @@ void LookupService::reply_batch(const rtm::Message& msg) {
   }
   obs::Tracer::instance().flow_end(
       "flow", "batch", obs::flow_id(msg.source, req.reply_to, req.seq));
-  // Zero-copy reply: frame the header in an arena payload and write each
-  // i32 count straight into the wire buffer as the lookups happen — no
-  // intermediate count vector, no encode copy, no send copy.
-  rtm::Payload payload = comm_->make_payload(batch_reply_bytes(req.ids.size()));
-  encode_batch_reply_header_into(payload.data(), req.seq,
-                                 static_cast<std::uint32_t>(req.ids.size()));
+  // Zero-copy reply: the IDs are read in place from the request, and each
+  // i32 count is written straight into an arena payload framed with the
+  // reply header — no ID or count vector, no encode copy, no send copy.
+  rtm::Payload payload = comm_->make_payload(batch_reply_bytes(req.count));
+  encode_batch_reply_header_into(payload.data(), req.seq, req.count);
   std::byte* counts = batch_reply_counts_at(payload.data());
-  for (std::size_t i = 0; i < req.ids.size(); ++i) {
-    const std::uint64_t id = req.ids[i];
+  for (std::size_t i = 0; i < req.count; ++i) {
+    const std::uint64_t id = req.id(i);
     const auto c = req.kind == LookupKind::kKmer ? spectrum_->owned_kmer(id)
                                                  : spectrum_->owned_tile(id);
     const std::int32_t count = c ? static_cast<std::int32_t>(*c) : -1;
@@ -75,7 +74,7 @@ void LookupService::reply_batch(const rtm::Message& msg) {
   }
   comm_->send_payload(msg.source, req.reply_to, std::move(payload));
   ++stats_.batch_requests;
-  stats_.batch_ids_served += req.ids.size();
+  stats_.batch_ids_served += req.count;
   ++stats_.requests_served;
 }
 

@@ -10,33 +10,64 @@
 
 namespace reptile::parallel {
 
+/// The wavefront's private view: answers from the local links of the
+/// chain and the chunk cache, queues every ID only its owner knows, and
+/// reports that lookup degraded, so the corrector holds the read on the
+/// tile until the next round has fetched it. Counts nothing in the view's
+/// stats: the real pass does that.
+class RemoteSpectrumView::Probe final : public core::SpectrumView {
+ public:
+  explicit Probe(RemoteSpectrumView& view) : view_(&view) {}
+
+  std::uint32_t kmer_count(seq::kmer_id_t id) override {
+    return lookup(view_->spectrum_->extractor().canon_kmer(id),
+                  LookupKind::kKmer);
+  }
+  std::uint32_t tile_count(seq::tile_id_t id) override {
+    return lookup(view_->spectrum_->extractor().canon_tile(id),
+                  LookupKind::kTile);
+  }
+  const core::LookupStats& stats() const override { return stats_; }
+  std::uint64_t degraded_lookups() const override { return queued_; }
+
+  /// IDs queued since construction (repeats included).
+  std::uint64_t queued() const noexcept { return queued_; }
+
+ private:
+  std::uint32_t lookup(std::uint64_t id, LookupKind kind) {
+    const Resolution r = view_->resolve(id, kind);
+    if (r.link != Link::kRemote) return r.count;
+    view_->enqueue(r, id, kind);
+    ++queued_;
+    return 0;
+  }
+
+  RemoteSpectrumView* view_;
+  core::LookupStats stats_;
+  std::uint64_t queued_ = 0;
+};
+
 RemoteSpectrumView::RemoteSpectrumView(rtm::Comm& comm, DistSpectrum& spectrum,
                                        int worker_slot,
                                        bool cache_remote_locally,
                                        RetryPolicy retry,
-                                       const Heuristics* heur_override)
+                                       const Heuristics* heur_override,
+                                       const core::CorrectorParams* params_override)
     : comm_(&comm),
       spectrum_(&spectrum),
       heur_(heur_override == nullptr ? spectrum.heuristics() : *heur_override),
+      corrector_(params_override == nullptr ? spectrum.params()
+                                            : *params_override),
       worker_slot_(worker_slot),
       cache_remote_locally_(cache_remote_locally),
       retry_(retry) {
   retry_.validate();
-  // Prefetch caches hold verbatim remote replies, not spectrum shards —
-  // bill them to the remote_cache ledger account.
-  prefetch_kmer_.bind_ledger_account(obs::LedgerAccount::kRemoteCache);
-  prefetch_tile_.bind_ledger_account(obs::LedgerAccount::kRemoteCache);
 }
 
 void RemoteSpectrumView::cache_local(std::uint64_t id, LookupKind kind,
                                      std::uint32_t count) {
-  const std::size_t cap = spectrum_->params().prefetch_capacity;
-  if (prefetch_kmer_.size() + prefetch_tile_.size() >= cap) return;
-  if (kind == LookupKind::kKmer) {
-    prefetch_kmer_.increment(id, count);
-  } else {
-    prefetch_tile_.increment(id, count);
-  }
+  if (cache_.size() >= corrector_.params().prefetch_capacity) return;
+  cache_.add(id, kind, count);
 }
 
 obs::Histogram* RemoteSpectrumView::latency_histogram(const char* name,
@@ -49,75 +80,174 @@ obs::Histogram* RemoteSpectrumView::latency_histogram(const char* name,
   return slot;
 }
 
-bool RemoteSpectrumView::needs_remote(std::uint64_t id, LookupKind kind,
-                                      int& owner) const {
+RemoteSpectrumView::Resolution RemoteSpectrumView::resolve(
+    std::uint64_t id, LookupKind kind) const {
   const bool is_kmer = kind == LookupKind::kKmer;
-  if (is_kmer ? heur_.allgather_kmers : heur_.allgather_tiles) return false;
-  owner = hash::owner_of(id, comm_->size());
-  if (owner == comm_->rank()) return false;
-  if (spectrum_->owner_in_my_group(owner)) return false;
+  Resolution r;
+  if (is_kmer ? heur_.allgather_kmers : heur_.allgather_tiles) {
+    r.count = (is_kmer ? spectrum_->replica_kmer(id)
+                       : spectrum_->replica_tile(id))
+                  .value_or(0);
+    return r;
+  }
+
+  r.owner = hash::owner_of(id, comm_->size());
+  if (r.owner == comm_->rank()) {
+    // We are the owner: a miss in our shard is a definitive global absence.
+    r.count = (is_kmer ? spectrum_->owned_kmer(id)
+                       : spectrum_->owned_tile(id))
+                  .value_or(0);
+    return r;
+  }
+
+  if (spectrum_->owner_in_my_group(r.owner)) {
+    // Partial replication: we hold the owner's shard; a miss is definitive.
+    r.link = Link::kGroup;
+    r.count = (is_kmer ? spectrum_->group_kmer(id)
+                       : spectrum_->group_tile(id))
+                  .value_or(0);
+    return r;
+  }
+
   if (heur_.read_kmers) {
     const auto c = is_kmer ? spectrum_->reads_kmer(id)
                            : spectrum_->reads_tile(id);
-    if (c) return false;
+    if (c) {
+      r.link = Link::kReadsTable;
+      r.count = *c;
+      return r;
+    }
   }
-  return true;
+
+  if (heur_.filter_lookups) {
+    // The owner's exchanged membership filter. "Definitely absent" is
+    // exact: the owner's pruned shard cannot contain the ID, so the wire
+    // reply would be -1 and the count 0 — answer locally.
+    const auto fa = is_kmer ? spectrum_->filter_kmer(id, r.owner)
+                            : spectrum_->filter_tile(id, r.owner);
+    if (fa == DistSpectrum::FilterAnswer::kDefinitelyAbsent) {
+      r.link = Link::kFilter;
+      return r;
+    }
+    r.filter_said_maybe = fa == DistSpectrum::FilterAnswer::kMaybePresent;
+  }
+
+  if (heur_.batch_lookups || cache_remote_locally_) {
+    // Chunk cache: counts are verbatim remote replies, so a hit is exactly
+    // what the scalar round trip would have returned.
+    if (const auto c = cache_.find(id, kind)) {
+      r.link = Link::kCache;
+      r.count = *c;
+      return r;
+    }
+  }
+  r.link = Link::kRemote;
+  return r;
+}
+
+void RemoteSpectrumView::enqueue(const Resolution& r, std::uint64_t id,
+                                 LookupKind kind) {
+  bucket(r.owner, kind).push_back(id);
+  if (kind == LookupKind::kKmer) {
+    ++remote_.batch_kmer_ids_raw;
+  } else {
+    ++remote_.batch_tile_ids_raw;
+  }
+}
+
+void RemoteSpectrumView::charge_wavefront() {
+  std::size_t bytes = wave_bases_.capacity() * sizeof(std::string) +
+                      cursors_.capacity() * sizeof(core::TileCorrector::Cursor) +
+                      active_.capacity() * sizeof(std::uint32_t) +
+                      tile_scratch_.capacity() * sizeof(seq::tile_id_t) +
+                      buckets_.capacity() * sizeof(buckets_[0]);
+  for (const auto& b : buckets_) bytes += b.capacity() * sizeof(std::uint64_t);
+  for (const auto& b : wave_bases_) bytes += b.capacity();
+  wave_charge_.set(bytes);
 }
 
 void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
   if (!heur_.batch_lookups) return;
-  prefetch_kmer_.clear();
-  prefetch_tile_.clear();
+  cache_.clear();
+  // Nothing to fetch when every owner's tables are local: one rank, both
+  // spectra replicated, or one replication group spanning the world.
   const int np = comm_->size();
-  if (np <= 1 || heur_.fully_replicated()) return;
-
-  kmer_scratch_.clear();
-  tile_scratch_.clear();
-  for (const seq::Read& r : batch) {
-    spectrum_->extractor().extract(r.bases, kmer_scratch_, tile_scratch_);
+  bool any_remote = false;
+  for (int owner = 0; owner < np && !any_remote; ++owner) {
+    any_remote =
+        owner != comm_->rank() && !spectrum_->owner_in_my_group(owner);
   }
+  if (!any_remote || heur_.fully_replicated()) return;
 
-  // Filter to the remote-needing IDs, dedupe (the cache doubles as the
-  // seen-set: a sentinel entry marks "requested, reply pending" and is
-  // overwritten — CountTable::increment — by the real count on arrival).
-  // Buckets hold each owner's deduped ID vector.
-  const std::size_t cap = spectrum_->params().prefetch_capacity;
-  std::vector<std::vector<std::uint64_t>> kmer_buckets(
-      static_cast<std::size_t>(np));
-  std::vector<std::vector<std::uint64_t>> tile_buckets(
-      static_cast<std::size_t>(np));
-  hash::CountTable<> seen_kmer;
-  hash::CountTable<> seen_tile;
+  obs::SpanScope span("lookup", "batch_prefetch");
+  const std::int64_t start = obs::Tracer::instance().now_ns();
+  buckets_.resize(2 * static_cast<std::size_t>(np));
+  wave_bases_.resize(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    wave_bases_[i] = batch[i].bases;
+  }
+  cursors_.assign(batch.size(), {});
+  active_.resize(batch.size());
+  for (std::uint32_t i = 0; i < active_.size(); ++i) active_[i] = i;
+  Probe probe(*this);
+
+  // Round 0: every read's gate tiles, fetched before any read advances.
+  for (const seq::Read& r : batch) {
+    tile_scratch_.clear();
+    spectrum_->extractor().tile_codec().extract(r.bases, tile_scratch_);
+    for (const seq::tile_id_t id : tile_scratch_) probe.tile_count(id);
+  }
+  // Then rounds of: exchange what was queued, advance every unfinished
+  // read until it finishes or blocks on an ID it had to queue.
+  std::uint64_t rounds = 0;
+  std::uint64_t exchanged = 0;  // probe.queued() at the last exchange
+  while (true) {
+    if (probe.queued() != exchanged) {
+      exchanged = probe.queued();
+      ++rounds;
+      if (!exchange_round()) break;
+    }
+    std::size_t kept = 0;
+    for (const std::uint32_t i : active_) {
+      if (!corrector_.advance(wave_bases_[i], batch[i].quals, cursors_[i],
+                              probe, /*hold_degraded=*/true)) {
+        active_[kept++] = i;
+      }
+    }
+    active_.resize(kept);
+    if (probe.queued() == exchanged) break;  // every read finished
+  }
+  charge_wavefront();
+  span.arg("rounds", rounds);
+  span.arg("reads_left", active_.size());
+  if (obs::Histogram* h = latency_histogram("reptile_batch_prefetch_us",
+                                            batch_hist_,
+                                            batch_hist_resolved_)) {
+    h->record(static_cast<std::uint64_t>(
+        std::max<std::int64_t>(obs::Tracer::instance().now_ns() - start, 0) /
+        1000));
+  }
+}
+
+bool RemoteSpectrumView::exchange_round() {
+  const int np = comm_->size();
+  // Sort and dedupe each bucket; cap the round so the cache stays within
+  // prefetch_capacity (IDs beyond the cap stay unresolved and go scalar).
+  const std::size_t cap = corrector_.params().prefetch_capacity;
+  std::size_t room = cap > cache_.size() ? cap - cache_.size() : 0;
+  bool full = false;
   std::size_t total = 0;
-  auto collect = [&](std::uint64_t id, LookupKind kind) {
-    int owner = 0;
-    if (!needs_remote(id, kind, owner)) return;
-    if (heur_.filter_lookups) {
-      // Filter-definite absences never reach the wire; lookup() answers
-      // them (and counts filter_neg_hits) from the same immutable filter.
-      // Skipped before the raw counter so dedup_ratio keeps measuring
-      // dedup alone, unchanged by filtering.
-      const auto fa = kind == LookupKind::kKmer
-                          ? spectrum_->filter_kmer(id, owner)
-                          : spectrum_->filter_tile(id, owner);
-      if (fa == DistSpectrum::FilterAnswer::kDefinitelyAbsent) return;
+  for (auto& ids : buckets_) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    if (ids.size() > room) {
+      ids.resize(room);
+      full = true;
     }
-    if (kind == LookupKind::kKmer) {
-      ++remote_.batch_kmer_ids_raw;
-    } else {
-      ++remote_.batch_tile_ids_raw;
-    }
-    if (total >= cap) return;  // bound the chunk cache; rest go scalar
-    auto& seen = kind == LookupKind::kKmer ? seen_kmer : seen_tile;
-    if (seen.contains(id)) return;
-    seen.increment(id);
-    auto& buckets = kind == LookupKind::kKmer ? kmer_buckets : tile_buckets;
-    buckets[static_cast<std::size_t>(owner)].push_back(id);
-    ++total;
-  };
-  for (seq::kmer_id_t id : kmer_scratch_) collect(id, LookupKind::kKmer);
-  for (seq::tile_id_t id : tile_scratch_) collect(id, LookupKind::kTile);
-  if (total == 0) return;
+    room -= ids.size();
+    total += ids.size();
+  }
+  charge_wavefront();
 
   // One vectored request per owner per kind, all sent before any reply is
   // awaited so the owners' communication threads overlap their work.
@@ -128,8 +258,7 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
     std::uint64_t seq;
   };
   std::vector<Pending> pending;
-  obs::SpanScope span("lookup", "batch_prefetch");
-  const std::int64_t prefetch_start = obs::Tracer::instance().now_ns();
+  obs::SpanScope span("lookup", "batch_round");
   const auto send_batch = [&](const Pending& p) {
     // Zero-copy request: encode the header + ID vector straight into an
     // arena payload and transfer ownership — no scratch vector, no send
@@ -149,10 +278,9 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
         obs::flow_id(comm_->rank(), batch_reply_tag(p.kind, worker_slot_),
                      p.seq));
   };
-  auto send_buckets = [&](const std::vector<std::vector<std::uint64_t>>& bks,
-                          LookupKind kind) {
+  for (const LookupKind kind : {LookupKind::kKmer, LookupKind::kTile}) {
     for (int owner = 0; owner < np; ++owner) {
-      const auto& ids = bks[static_cast<std::size_t>(owner)];
+      const auto& ids = bucket(owner, kind);
       if (ids.empty()) continue;
       pending.push_back({owner, kind, &ids, next_seq_++});
       send_batch(pending.back());
@@ -163,12 +291,11 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
         remote_.batch_tile_ids += ids.size();
       }
     }
-  };
-  send_buckets(kmer_buckets, LookupKind::kKmer);
-  send_buckets(tile_buckets, LookupKind::kTile);
+  }
   span.arg("requests", pending.size());
   span.arg("ids", total);
 
+  bool abandoned = false;
   rtm::check::RunChecker* check = comm_->world().checker();
   comm_wait_.start();
   for (const Pending& p : pending) {
@@ -176,9 +303,9 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
     // Validates and consumes one candidate reply; false = not ours (stale
     // retransmission leftovers, malformed bytes), keep waiting.
     const auto consume = [&](const rtm::Message& msg) {
-      BatchLookupReply reply;
+      BatchReplyView reply;
       try {
-        reply = decode_batch_reply(msg.payload);
+        reply = view_batch_reply(msg.payload);
       } catch (const std::runtime_error&) {
         ++remote_.malformed_replies;
         return false;
@@ -187,30 +314,28 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
         ++remote_.stale_replies_suppressed;
         return false;
       }
-      if (reply.counts.size() != p.ids->size()) {
+      if (reply.count != p.ids->size()) {
         throw std::runtime_error(
             "batched lookup reply length does not match the request");
       }
-      for (std::size_t i = 0; i < reply.counts.size(); ++i) {
-        const std::uint32_t c = reply.counts[i] < 0
-                                    ? 0
-                                    : static_cast<std::uint32_t>(
-                                          reply.counts[i]);
-        if (heur_.filter_lookups && reply.counts[i] < 0) {
+      for (std::size_t i = 0; i < reply.count; ++i) {
+        const std::uint64_t id = (*p.ids)[i];
+        const std::int32_t count = reply.count_at(i);
+        if (count > 0) {
+          cache_.add(id, p.kind, static_cast<std::uint32_t>(count));
+          continue;
+        }
+        cache_.add_absent(id, p.kind);
+        if (heur_.filter_lookups && count < 0) {
           // Every batched ID the filter let through that the owner reports
           // absent was a wasted wire slot: a filter false positive. (IDs
           // with no usable filter don't count — there was nothing to ask.)
           const auto fa = p.kind == LookupKind::kKmer
-                              ? spectrum_->filter_kmer((*p.ids)[i], p.owner)
-                              : spectrum_->filter_tile((*p.ids)[i], p.owner);
+                              ? spectrum_->filter_kmer(id, p.owner)
+                              : spectrum_->filter_tile(id, p.owner);
           if (fa == DistSpectrum::FilterAnswer::kMaybePresent) {
             ++remote_.filter_false_positives;
           }
-        }
-        if (p.kind == LookupKind::kKmer) {
-          prefetch_kmer_.increment((*p.ids)[i], c);
-        } else {
-          prefetch_tile_.increment((*p.ids)[i], c);
         }
       }
       return true;
@@ -250,22 +375,19 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
       if (got) break;
       ++remote_.lookup_timeouts;
       if (attempt >= retry_.max_retries) {
-        // Abandon this batch: its IDs simply miss the prefetch cache and
-        // fall through to the (individually retried) scalar path.
+        // Abandon this batch: its IDs stay out of the cache, the wavefront
+        // ends after this round, and the corrector's lookups of them take
+        // the (individually retried) scalar path.
         ++remote_.batch_abandoned;
+        abandoned = true;
         break;
       }
     }
   }
   comm_wait_.stop();
-  if (obs::Histogram* h = latency_histogram("reptile_batch_prefetch_us",
-                                            batch_hist_,
-                                            batch_hist_resolved_)) {
-    h->record(static_cast<std::uint64_t>(
-        std::max<std::int64_t>(
-            obs::Tracer::instance().now_ns() - prefetch_start, 0) /
-        1000));
-  }
+  cache_.seal();
+  for (auto& ids : buckets_) ids.clear();
+  return !abandoned && !full;
 }
 
 std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
@@ -405,68 +527,27 @@ std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
 }
 
 std::uint32_t RemoteSpectrumView::lookup(std::uint64_t id, LookupKind kind) {
-  const bool is_kmer = kind == LookupKind::kKmer;
-
-  if (is_kmer ? heur_.allgather_kmers : heur_.allgather_tiles) {
-    const auto c = is_kmer ? spectrum_->replica_kmer(id)
-                           : spectrum_->replica_tile(id);
-    return c.value_or(0);
-  }
-
-  const int owner = hash::owner_of(id, comm_->size());
-  if (owner == comm_->rank()) {
-    // We are the owner: a miss in our shard is a definitive global absence.
-    const auto c = is_kmer ? spectrum_->owned_kmer(id)
-                           : spectrum_->owned_tile(id);
-    return c.value_or(0);
-  }
-
-  if (spectrum_->owner_in_my_group(owner)) {
-    // Partial replication: we hold the owner's shard; a miss is definitive.
-    ++remote_.group_lookups;
-    const auto c = is_kmer ? spectrum_->group_kmer(id)
-                           : spectrum_->group_tile(id);
-    return c.value_or(0);
-  }
-
-  if (heur_.read_kmers) {
-    const auto c = is_kmer ? spectrum_->reads_kmer(id)
-                           : spectrum_->reads_tile(id);
-    if (c) {
+  const Resolution r = resolve(id, kind);
+  switch (r.link) {
+    case Link::kLocal:
+      return r.count;
+    case Link::kGroup:
+      ++remote_.group_lookups;
+      return r.count;
+    case Link::kReadsTable:
       ++remote_.reads_table_hits;
-      return *c;
-    }
-  }
-
-  bool filter_said_maybe = false;
-  if (heur_.filter_lookups) {
-    // The owner's exchanged membership filter. "Definitely absent" is
-    // exact: the owner's pruned shard cannot contain the ID, so the wire
-    // reply would be -1 and the count 0 — answer locally. Checked before
-    // the prefetch cache so the filter/prefetch counters stay identical
-    // between scalar and batched runs (prefetch_chunk excluded
-    // filter-definite IDs with the same immutable filter).
-    const auto fa = is_kmer ? spectrum_->filter_kmer(id, owner)
-                            : spectrum_->filter_tile(id, owner);
-    if (fa == DistSpectrum::FilterAnswer::kDefinitelyAbsent) {
+      return r.count;
+    case Link::kFilter:
       ++remote_.filter_neg_hits;
       return 0;
-    }
-    filter_said_maybe = fa == DistSpectrum::FilterAnswer::kMaybePresent;
-  }
-
-  if (heur_.batch_lookups || cache_remote_locally_) {
-    // Chunk-local prefetch cache: counts are verbatim remote replies, so a
-    // hit is exactly what the scalar round trip would have returned.
-    const auto c = is_kmer ? prefetch_kmer_.find(id) : prefetch_tile_.find(id);
-    if (c) {
+    case Link::kCache:
       ++remote_.prefetch_hits;
-      return *c;
-    }
-    ++remote_.prefetch_misses;
+      return r.count;
+    case Link::kRemote:
+      break;
   }
-
-  return remote_lookup(owner, id, kind, filter_said_maybe);
+  if (heur_.batch_lookups || cache_remote_locally_) ++remote_.prefetch_misses;
+  return remote_lookup(r.owner, id, kind, r.filter_said_maybe);
 }
 
 std::uint32_t RemoteSpectrumView::kmer_count(seq::kmer_id_t id) {

@@ -126,10 +126,28 @@ inline void encode_batch_request(LookupKind kind, int reply_to,
                             kind, reply_to, ids, seq);
 }
 
-/// Decodes one batched request. Throws on a truncated or over-long buffer
-/// and on an unknown kind — a malformed message must never be answered.
-inline BatchLookupRequest decode_batch_request(const std::uint8_t* data,
-                                               std::size_t size) {
+/// A validated batched request read in place: the header fields, and the
+/// IDs left in the message buffer. The lookup service answers from it
+/// without copying the IDs out.
+struct BatchRequestView {
+  LookupKind kind = LookupKind::kKmer;
+  std::int32_t reply_to = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t count = 0;
+  const std::uint8_t* ids = nullptr;
+
+  std::uint64_t id(std::size_t i) const {
+    std::uint64_t v = 0;
+    std::memcpy(&v, ids + i * 8, 8);
+    return v;
+  }
+};
+
+/// Validates one batched request. Throws on a truncated or over-long
+/// buffer and on an unknown kind — a malformed message must never be
+/// answered. The view borrows `data`.
+inline BatchRequestView view_batch_request(const std::uint8_t* data,
+                                           std::size_t size) {
   BatchLookupHeader h;
   if (size < sizeof(h)) {
     throw std::runtime_error("decode_batch_request: truncated header");
@@ -141,14 +159,28 @@ inline BatchLookupRequest decode_batch_request(const std::uint8_t* data,
   if (size - sizeof(h) != static_cast<std::size_t>(h.count) * 8) {
     throw std::runtime_error("decode_batch_request: body/count mismatch");
   }
+  return {static_cast<LookupKind>(h.kind), h.reply_to, h.seq, h.count,
+          data + sizeof(h)};
+}
+
+inline BatchRequestView view_batch_request(
+    std::span<const std::byte> payload) {
+  return view_batch_request(
+      reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size());
+}
+
+/// Decodes one batched request into an owned ID vector (see
+/// view_batch_request for the checks).
+inline BatchLookupRequest decode_batch_request(const std::uint8_t* data,
+                                               std::size_t size) {
+  const BatchRequestView v = view_batch_request(data, size);
   BatchLookupRequest req;
-  req.kind = static_cast<LookupKind>(h.kind);
-  req.reply_to = h.reply_to;
-  req.seq = h.seq;
-  req.ids.resize(h.count);
-  if (h.count != 0) {
-    std::memcpy(req.ids.data(), data + sizeof(h),
-                static_cast<std::size_t>(h.count) * 8);
+  req.kind = v.kind;
+  req.reply_to = v.reply_to;
+  req.seq = v.seq;
+  req.ids.resize(v.count);
+  if (v.count != 0) {
+    std::memcpy(req.ids.data(), v.ids, static_cast<std::size_t>(v.count) * 8);
   }
   return req;
 }
@@ -202,10 +234,25 @@ inline void encode_batch_reply(std::uint64_t seq,
   }
 }
 
-/// Decodes one batched reply. Throws on a truncated or over-long buffer —
-/// a requester must treat a malformed reply as lost, never as counts.
-inline BatchLookupReply decode_batch_reply(const std::uint8_t* data,
-                                           std::size_t size) {
+/// A validated batched reply read in place: the echoed sequence number,
+/// and the i32 counts left in the message buffer.
+struct BatchReplyView {
+  std::uint64_t seq = 0;
+  std::uint32_t count = 0;
+  const std::uint8_t* counts = nullptr;
+
+  std::int32_t count_at(std::size_t i) const {
+    std::int32_t v = 0;
+    std::memcpy(&v, counts + i * 4, 4);
+    return v;
+  }
+};
+
+/// Validates one batched reply. Throws on a truncated or over-long buffer
+/// — a requester must treat a malformed reply as lost, never as counts.
+/// The view borrows `data`.
+inline BatchReplyView view_batch_reply(const std::uint8_t* data,
+                                       std::size_t size) {
   BatchReplyHeader h;
   if (size < sizeof(h)) {
     throw std::runtime_error("decode_batch_reply: truncated header");
@@ -214,12 +261,25 @@ inline BatchLookupReply decode_batch_reply(const std::uint8_t* data,
   if (size - sizeof(h) != static_cast<std::size_t>(h.count) * 4) {
     throw std::runtime_error("decode_batch_reply: body/count mismatch");
   }
+  return {h.seq, h.count, data + sizeof(h)};
+}
+
+inline BatchReplyView view_batch_reply(std::span<const std::byte> payload) {
+  return view_batch_reply(
+      reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size());
+}
+
+/// Decodes one batched reply into an owned count vector (see
+/// view_batch_reply for the checks).
+inline BatchLookupReply decode_batch_reply(const std::uint8_t* data,
+                                           std::size_t size) {
+  const BatchReplyView v = view_batch_reply(data, size);
   BatchLookupReply reply;
-  reply.seq = h.seq;
-  reply.counts.resize(h.count);
-  if (h.count != 0) {
-    std::memcpy(reply.counts.data(), data + sizeof(h),
-                static_cast<std::size_t>(h.count) * 4);
+  reply.seq = v.seq;
+  reply.counts.resize(v.count);
+  if (v.count != 0) {
+    std::memcpy(reply.counts.data(), v.counts,
+                static_cast<std::size_t>(v.count) * 4);
   }
   return reply;
 }

@@ -42,13 +42,16 @@ void DistSpectrumModel::prepare_correction(RankContext& ctx) {
 
 /// One worker's lookup surface: a RemoteSpectrumView with the worker's own
 /// reply tags (slot) and, with several workers sharing add_remote, the
-/// thread-safe chunk-local caching variant.
+/// thread-safe chunk-local caching variant. prefetch_chunk runs the view's
+/// chunk wavefront.
 class DistSpectrumModel::Handle final : public WorkerHandle {
  public:
   Handle(rtm::Comm& comm, parallel::DistSpectrum& spectrum, int slot,
          bool cache_remote_locally, parallel::RetryPolicy retry,
-         const parallel::Heuristics& job_heur)
-      : view_(comm, spectrum, slot, cache_remote_locally, retry, &job_heur) {}
+         const parallel::Heuristics& job_heur,
+         const core::CorrectorParams& job_params)
+      : view_(comm, spectrum, slot, cache_remote_locally, retry, &job_heur,
+              &job_params) {}
 
   core::SpectrumView& view() override { return view_; }
 
@@ -70,13 +73,14 @@ std::unique_ptr<WorkerHandle> DistSpectrumModel::make_worker(
     const RankContext& ctx, int slot) {
   // With concurrent workers, add_remote must not write the shared reads
   // tables; each view then caches replies into its own chunk-local cache.
-  // The view consults the JOB-effective heuristics (per-job correction
-  // overrides), not the build heuristics baked into the spectrum.
+  // The view consults the JOB-effective heuristics and parameters (per-job
+  // correction overrides), not the build values baked into the spectrum:
+  // its wavefront must correct exactly as CorrectStage's corrector will.
   const bool cache_remote_locally =
       ctx.rank.worker_threads > 1 && ctx.job.heuristics.add_remote;
   return std::make_unique<Handle>(*comm_, spectrum_, slot,
                                   cache_remote_locally, ctx.job.retry,
-                                  ctx.job.heuristics);
+                                  ctx.job.heuristics, ctx.job.params);
 }
 
 }  // namespace reptile::pipeline

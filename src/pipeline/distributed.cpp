@@ -115,7 +115,7 @@ void validate_dist_config(const DistConfig& config) {
         "add_remote caches into the shared reads tables, which is not "
         "thread-safe with worker_threads > 1: enable "
         "heuristics.batch_lookups (replies then land in each worker's "
-        "chunk-local prefetch cache) or use worker_threads == 1");
+        "chunk cache) or use worker_threads == 1");
   }
   config.run_options.chaos.validate();
   config.retry.validate();

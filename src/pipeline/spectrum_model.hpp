@@ -31,8 +31,10 @@ class WorkerHandle {
   /// The SpectrumView the corrector runs against.
   virtual core::SpectrumView& view() = 0;
 
-  /// batch_lookups hook: fetch the chunk's remote-needing IDs ahead of
-  /// correction. No-op for local models.
+  /// batch_lookups hook: resolve the chunk's remote lookups ahead of
+  /// correction (the distributed model's chunk wavefront), so the
+  /// corrector's pass over the chunk answers them locally. No-op for local
+  /// models.
   virtual void prefetch_chunk(const seq::ReadBatch& batch) {
     (void)batch;
   }

@@ -490,8 +490,10 @@ void RunChecker::on_chaos_duplicate(int /*dst*/, const Message& m) {
   stat_add(counters_[static_cast<std::size_t>(m.source)].chaos_duplicated, 1);
 }
 
-void RunChecker::on_chaos_truncate(int /*dst*/, const Message& m) {
+void RunChecker::on_chaos_truncate(int dst, const Message& m) {
   stat_add(counters_[static_cast<std::size_t>(m.source)].chaos_truncated, 1);
+  std::lock_guard lock(lint_mutex_);
+  truncated_streams_.emplace(dst, m.source, m.tag);
 }
 
 void RunChecker::on_phase_boundary(int rank, std::size_t pending) {
@@ -858,12 +860,20 @@ bool RunChecker::leak_is_stale(int rank, const Message& m) {
   // explained by the protocol itself.
   if (rule->best_effort) return true;
   std::lock_guard lock(lint_mutex_);
+  // The linter passed every send at its exact size, so a leftover too
+  // short to parse was cut in flight by the fault injector. Its requester
+  // discards such bytes as malformed; one nobody waited for is a stale
+  // leftover too.
+  const bool truncated =
+      opts_.lint &&
+      truncated_streams_.contains(std::make_tuple(rank, m.source, m.tag));
   if (rule->dir == TagDir::kReply) {
     // A reply leaked in the requester's mailbox: stale iff its seq was
     // already served (the requester had moved on — retransmission race).
     if (rule->seq_of == nullptr) return false;
     std::uint64_t seq = 0;
-    if (!rule->seq_of(m.payload, &seq) || seq == 0) return false;
+    if (!rule->seq_of(m.payload, &seq)) return truncated;
+    if (seq == 0) return false;
     const auto it = outstanding_.find(std::make_tuple(m.source, rank, m.tag));
     if (it == outstanding_.end()) return false;
     return it->second.answered.contains(seq) ||
@@ -871,17 +881,16 @@ bool RunChecker::leak_is_stale(int rank, const Message& m) {
   }
   // A request leaked in the responder's mailbox: stale iff it is a
   // duplicate/retransmission of a request that was already answered.
-  if (rule->pair == nullptr || m.payload.size() < rule->min_bytes) {
-    return false;
-  }
+  if (rule->pair == nullptr) return false;
   int reply_tag = 0;
   std::size_t reply_bytes = 0;
   std::uint64_t seq = 0;
   std::string err;
-  if (!rule->pair(m.payload, &reply_tag, &reply_bytes, &seq, &err) ||
-      seq == 0) {
-    return false;
+  if (m.payload.size() < rule->min_bytes ||
+      !rule->pair(m.payload, &reply_tag, &reply_bytes, &seq, &err)) {
+    return truncated;
   }
+  if (seq == 0) return false;
   const auto it = outstanding_.find(std::make_tuple(rank, m.source, reply_tag));
   if (it == outstanding_.end()) return false;
   return it->second.answered.contains(seq) || it->second.dropped.contains(seq);
@@ -901,13 +910,14 @@ void RunChecker::finalize() {
       CheckSnapshot& extra = final_[static_cast<std::size_t>(r)];
       mb->for_each_pending([&](const Message& m) {
         // A leaked message whose protocol sequence number was already
-        // answered (or whose request copy was dropped) is explained by the
-        // retry/duplication machinery: audit it as stale, not as a leak.
+        // answered (or whose request copy was dropped), or that the fault
+        // injector cut short, is explained by the retry/duplication
+        // machinery: audit it as stale, not as a leak.
         if (leak_is_stale(r, m)) {
           ++extra.stale_leaks;
           out << "rank " << r << ": stale leftover ("
               << envelope(m.source, m.tag) << ", " << m.payload.size()
-              << " bytes) — explained by retries/duplication\n";
+              << " bytes) — explained by retries/duplication/truncation\n";
           return;
         }
         ++extra.leaked_messages;

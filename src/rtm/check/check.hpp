@@ -48,6 +48,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -326,7 +327,8 @@ class RunChecker {
   bool is_reply_tag(int tag) const noexcept;
   /// Finalize helper: is this leaked message explained by the sequenced
   /// retry/duplication protocol (its seq already answered or its request
-  /// copy dropped)? Takes lint_mutex_.
+  /// copy dropped), or was it cut short in flight by the fault injector?
+  /// Takes lint_mutex_.
   bool leak_is_stale(int rank, const Message& m);
   ThreadInfo& thread_entry_locked(int rank);
   void note_locked(std::string text);
@@ -391,6 +393,9 @@ class RunChecker {
 
   std::mutex lint_mutex_;
   std::map<std::tuple<int, int, int>, PairLedger> outstanding_;
+  /// (dst, source, tag) streams on which the fault injector truncated at
+  /// least one message. Guarded by lint_mutex_.
+  std::set<std::tuple<int, int, int>> truncated_streams_;
 
   std::atomic<bool> aborted_{false};
   std::string abort_report_;  ///< written before aborted_ (release store)

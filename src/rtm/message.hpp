@@ -226,7 +226,13 @@ class Payload {
 /// slab bytes plus nothing hidden (heap payloads account to the Message).
 class PayloadArena {
  public:
-  static constexpr std::size_t kSlabBytes = std::size_t{1} << 18;  // 256 KiB
+  /// 64 KiB holds 2048 scalar lookup messages or a few wavefront batches
+  /// (tens of KiB each). Slabs of 256 KiB cost 1.6 MB more peak RSS on the
+  /// 2-rank 2000-read replica (perfbench paper-base-2r, 20 s of back-to-back
+  /// runs, median of three seeds 11.7 vs 10.1 MB): blocks that large are
+  /// mapped by glibc at first and then, once its thresholds adapt, carved
+  /// from the per-thread arenas, which keep them resident after each run.
+  static constexpr std::size_t kSlabBytes = std::size_t{1} << 16;
 
   PayloadArena() = default;
   PayloadArena(const PayloadArena&) = delete;

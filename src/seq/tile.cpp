@@ -37,11 +37,24 @@ kmer_id_t TileCodec::second_kmer(tile_id_t id) const {
 
 std::vector<int> TileCodec::tile_positions(int read_len) const {
   std::vector<int> out;
-  if (read_len < tile_len_) return out;
-  int pos = 0;
-  for (; pos + tile_len_ <= read_len; pos += step_) out.push_back(pos);
-  if (out.back() + tile_len_ < read_len) out.push_back(read_len - tile_len_);
+  for (int pos = 0; (pos = tile_position(read_len, out.size())) >= 0;) {
+    out.push_back(pos);
+  }
   return out;
+}
+
+int TileCodec::tile_position(int read_len, std::size_t index) const {
+  if (read_len < tile_len_) return -1;
+  const auto strided =
+      static_cast<std::size_t>((read_len - tile_len_) / step_) + 1;
+  if (index < strided) return static_cast<int>(index) * step_;
+  // A tail tile anchored at the read's end when the strided tiling stops
+  // short of it.
+  const int last = static_cast<int>(strided - 1) * step_;
+  if (index == strided && last + tile_len_ < read_len) {
+    return read_len - tile_len_;
+  }
+  return -1;
 }
 
 std::size_t TileCodec::extract(std::string_view read,

@@ -18,6 +18,7 @@
 // `read_len - tile_len` is added when the strided tiling does not reach the
 // end of the read.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -86,6 +87,10 @@ class TileCodec {
   /// positions 0, step, 2*step, ... plus a tail tile at read_len - tile_len
   /// when needed. Empty when read_len < tile_len.
   std::vector<int> tile_positions(int read_len) const;
+
+  /// Entry `index` of tile_positions(read_len), or -1 past the last tile;
+  /// computed without building the vector.
+  int tile_position(int read_len, std::size_t index) const;
 
   /// Extracts all tile IDs of a read (at tile_positions()) into `out`;
   /// returns the number appended.

@@ -167,17 +167,17 @@ struct RemoteLookupStats {
   std::uint64_t reads_table_hits = 0;    ///< resolved by the reads tables
   std::uint64_t group_lookups = 0;       ///< resolved by partial replication
 
-  // batch_lookups extension counters. The dedup counts are kept per kind
-  // because chunk dedup is per kind too (seen-sets per table): a numeric ID
-  // appearing in both the k-mer and the tile request vectors of one chunk
-  // is two distinct spectrum entries and must count in both tables — a
-  // merged counter would hide a cross-kind accounting bug (regression-
-  // tested in test_batch_lookup.cpp).
-  std::uint64_t batch_requests = 0;      ///< vectored prefetch messages sent
+  // batch_lookups (chunk wavefront) counters. The dedup counts are kept
+  // per kind because the round dedup is per kind too (one bucket per owner
+  // and kind): a numeric ID queued both as a k-mer and as a tile is two
+  // distinct spectrum entries and must count in both tables — a merged
+  // counter would hide a cross-kind accounting bug (regression-tested in
+  // test_batch_lookup.cpp).
+  std::uint64_t batch_requests = 0;      ///< vectored wavefront requests sent
   std::uint64_t batch_kmer_ids = 0;      ///< deduped k-mer IDs sent
   std::uint64_t batch_tile_ids = 0;      ///< deduped tile IDs sent
-  std::uint64_t batch_kmer_ids_raw = 0;  ///< remote-needing k-mer IDs pre-dedup
-  std::uint64_t batch_tile_ids_raw = 0;  ///< remote-needing tile IDs pre-dedup
+  std::uint64_t batch_kmer_ids_raw = 0;  ///< k-mer IDs queued, pre-dedup
+  std::uint64_t batch_tile_ids_raw = 0;  ///< tile IDs queued, pre-dedup
   std::uint64_t prefetch_hits = 0;    ///< lookups answered by the chunk cache
   std::uint64_t prefetch_misses = 0;  ///< fell through the cache to scalar
 
@@ -207,7 +207,7 @@ struct RemoteLookupStats {
     return batch_kmer_ids + batch_tile_ids;
   }
 
-  /// Remote-needing IDs before per-chunk dedup, both kinds.
+  /// IDs queued for the wire before the round dedup, both kinds.
   std::uint64_t batch_ids_raw() const noexcept {
     return batch_kmer_ids_raw + batch_tile_ids_raw;
   }
@@ -220,7 +220,7 @@ struct RemoteLookupStats {
                      static_cast<double>(batch_requests);
   }
 
-  /// Fraction of remote-needing IDs removed by per-chunk deduplication.
+  /// Fraction of queued IDs removed by the round deduplication.
   double dedup_ratio() const noexcept {
     return batch_ids_raw() == 0
                ? 0.0
@@ -228,7 +228,7 @@ struct RemoteLookupStats {
                            static_cast<double>(batch_ids_raw());
   }
 
-  /// Fraction of would-be remote lookups answered by the prefetch cache.
+  /// Fraction of would-be remote lookups answered by the chunk cache.
   double prefetch_hit_rate() const noexcept {
     const std::uint64_t total = prefetch_hits + prefetch_misses;
     return total == 0 ? 0.0

@@ -1,13 +1,15 @@
-// Batched remote lookups (batch_lookups extension): wire format, the
-// service's vectored reply path, identity of the prefetch-cached correction
-// with the sequential baseline, multi-worker reply routing, and the bounded
-// caches' eviction behaviour.
+// Batched remote lookups (batch_lookups, the chunk wavefront): wire format,
+// the service's vectored reply path, identity of the wavefront-cached
+// correction with the sequential baseline, multi-worker reply routing, and
+// the bounded caches' eviction behaviour. The full identity sweep is in
+// test_wavefront.cpp.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 #include <thread>
 
+#include "core/corrector.hpp"
 #include "core/pipeline.hpp"
 #include "core/spectrum.hpp"
 #include "hash/hashing.hpp"
@@ -266,6 +268,7 @@ TEST(BatchedLookups, AddRemoteWithWorkersNeedsBatchLookups) {
   config.heuristics.read_kmers = true;
   config.heuristics.add_remote = true;
   // Without batch_lookups the shared reads-table cache is not thread-safe.
+  config.heuristics.batch_lookups = false;
   EXPECT_THROW(run_distributed(dataset().reads, config),
                std::invalid_argument);
   // With it, replies go to worker-private caches and the combination runs.
@@ -280,6 +283,7 @@ TEST(BatchedLookups, PrefetchAbsorbsScalarLookups) {
   DistConfig config;
   config.params = test_params();
   config.ranks = 4;
+  config.heuristics.batch_lookups = false;  // the paper's scalar protocol
   const auto scalar = run_distributed(dataset().reads, config);
   config.heuristics.batch_lookups = true;
   const auto batched = run_distributed(dataset().reads, config);
@@ -302,8 +306,7 @@ TEST(BatchedLookups, PrefetchAbsorbsScalarLookups) {
     EXPECT_GE(r.remote.dedup_ratio(), 0.0);
     EXPECT_LE(r.remote.prefetch_hit_rate(), 1.0);
   }
-  // The read-spectrum IDs move into vectored requests; scalar round trips
-  // remain only for mid-correction candidate misses.
+  // Every remote lookup moves into vectored wavefront requests.
   EXPECT_GT(requests, 0u);
   EXPECT_GT(served, 0u);
   EXPECT_GT(hits, 0u);
@@ -348,40 +351,88 @@ TEST(BatchedLookups, DedupStatsSplitPerKind) {
   EXPECT_LE(tile_ids, tile_raw);
 }
 
+/// Records the canonical ID of every lookup owned by `owner` before
+/// answering from a local spectrum.
+class OwnedLookupRecorder final : public core::SpectrumView {
+ public:
+  OwnedLookupRecorder(core::LocalSpectrum& base, int owner, int np)
+      : base_(&base), owner_(owner), np_(np) {}
+
+  std::uint32_t kmer_count(seq::kmer_id_t id) override {
+    const auto c = base_->canon_kmer(id);
+    if (hash::owner_of(c, np_) == owner_) kmers.insert(c);
+    return base_->kmer_count(id);
+  }
+  std::uint32_t tile_count(seq::tile_id_t id) override {
+    const auto c = base_->canon_tile(id);
+    if (hash::owner_of(c, np_) == owner_) tiles.insert(c);
+    return base_->tile_count(id);
+  }
+  const core::LookupStats& stats() const override { return base_->stats(); }
+
+  std::set<std::uint64_t> kmers;
+  std::set<std::uint64_t> tiles;
+
+ private:
+  core::LocalSpectrum* base_;
+  int owner_;
+  int np_;
+};
+
 TEST(BatchedLookups, CrossKindIdCountedInBothTables) {
-  // Direct unit pin of the per-kind seen-sets. With k=8 and tile_overlap=2
-  // a tile spans 14 bases, so a read of the form AAAAAA+S packs its first
-  // tile to the SAME numeric value as the k-mer S (the six A's are the
-  // zero high bits). Feeding such reads through prefetch_chunk, the shared
-  // numeric ID must be counted — and sent — once PER KIND; a dedup
-  // seen-set shared across kinds would silently drop one of them. The
-  // per-kind sent/raw counters are compared against expectations computed
-  // independently with the same extractor and owner hash.
+  // The chunk cache and the round buckets are per kind: an ID numerically
+  // present as both a k-mer and a tile is two distinct spectrum entries
+  // and must be fetched, counted and cached once PER KIND. With k=8 and
+  // tile_overlap=2 a tile spans 14 bases, so the tile of a read AAAAAA+S
+  // packs to the same number as the k-mer S. That tile (count 2) is below
+  // the tile threshold, and the candidate CAAAAA+S (count 3) is solid, so
+  // correcting the read looks up tile AAAAAA+S and, through the candidate,
+  // k-mer S: one number, two kinds. The wavefront must send exactly the
+  // remote IDs a local corrector looks up, per kind, and the corrected
+  // bytes must match it.
   core::CorrectorParams p;
   p.k = 8;
   p.tile_overlap = 2;
   p.kmer_threshold = 1;
-  p.tile_threshold = 1;
+  p.tile_threshold = 3;
   p.canonical = false;  // keep the packed-ID construction literal
 
-  // Each read contributes one tile whose ID equals pack(S) — the same
-  // value as the k-mer S at offset 6. Duplicated reads exercise dedup.
   const char* kSuffixes[] = {"CGTCAGGT", "GATTACAG", "TTGACCAA", "CCATGGTC",
                              "GTTCAAGC", "ACCTGTTG", "TGGCATCA", "CAGTTGCA"};
   seq::ReadBatch batch;
+  std::vector<std::string> solid;
   for (const char* s : kSuffixes) {
     seq::Read r;
     r.number = static_cast<seq::seq_num_t>(batch.size() + 1);
     r.bases = std::string("AAAAAA") + s;
     r.quals.assign(r.bases.size(), 40);
     batch.push_back(r);
-    batch.push_back(r);  // duplicate: raw counts double, sent counts don't
+    batch.push_back(r);  // duplicate: raw counts grow, sent counts don't
+    for (int i = 0; i < 3; ++i) solid.push_back(std::string("CAAAAA") + s);
   }
+
+  // The reference: a local corrector, recording what it asks rank 0.
+  core::LocalSpectrum local(p);
+  for (const auto& r : batch) local.add_read(r.bases);
+  for (const auto& b : solid) local.add_read(b);
+  OwnedLookupRecorder recorder(local, /*owner=*/0, /*np=*/2);
+  const core::TileCorrector corrector(p);
+  seq::ReadBatch expected = batch;
+  for (auto& r : expected) corrector.correct(r, recorder);
+  // Some suffix is owned by rank 0, so its number is in both kinds' sets —
+  // the exact case a cache or bucket shared across kinds corrupts.
+  std::size_t overlap = 0;
+  for (const auto id : recorder.tiles) overlap += recorder.kmers.count(id);
+  ASSERT_GT(overlap, 0u);
 
   rtm::run_world({2, 1}, [&](rtm::Comm& comm) {
     Heuristics h;
     h.batch_lookups = true;
     DistSpectrum spectrum(p, h, comm);
+    if (comm.rank() == 0) {
+      for (const auto& r : batch) spectrum.add_read(r.bases);
+      for (const auto& b : solid) spectrum.add_read(b);
+    }
     spectrum.exchange_to_owners();
     comm.reset_done();
     if (comm.rank() == 0) {
@@ -390,43 +441,22 @@ TEST(BatchedLookups, CrossKindIdCountedInBothTables) {
       comm.signal_done();
       server.join();
     } else {
-      // Expected per-kind remote streams, computed independently: every
-      // occurrence owned by rank 0 counts raw, every distinct ID once.
-      core::SpectrumExtractor extractor(p);
-      std::vector<seq::kmer_id_t> kmers;
-      std::vector<seq::tile_id_t> tiles;
-      for (const auto& r : batch) extractor.extract(r.bases, kmers, tiles);
-      std::set<std::uint64_t> kmer_set, tile_set;
-      std::uint64_t kmer_raw = 0, tile_raw = 0;
-      for (const auto id : kmers) {
-        if (hash::owner_of(id, comm.size()) == 0) {
-          ++kmer_raw;
-          kmer_set.insert(id);
-        }
-      }
-      for (const auto id : tiles) {
-        if (hash::owner_of(id, comm.size()) == 0) {
-          ++tile_raw;
-          tile_set.insert(id);
-        }
-      }
-      // The construction above guarantees numeric overlap between the two
-      // kinds' remote streams (any suffix whose packed ID hashes to rank 0
-      // appears in both sets) — the exact case a shared seen-set corrupts.
-      std::size_t overlap = 0;
-      for (const auto id : tile_set) overlap += kmer_set.count(id);
-      ASSERT_GT(overlap, 0u);
-
       RemoteSpectrumView view(comm, spectrum);
       view.prefetch_chunk(batch);
       const auto& stats = view.remote_stats();
-      EXPECT_EQ(stats.batch_kmer_ids, kmer_set.size());
-      EXPECT_EQ(stats.batch_tile_ids, tile_set.size());
-      EXPECT_EQ(stats.batch_kmer_ids_raw, kmer_raw);
-      EXPECT_EQ(stats.batch_tile_ids_raw, tile_raw);
-      // One vectored request per kind with remote IDs, all owned by rank 0.
-      EXPECT_EQ(stats.batch_requests, (kmer_set.empty() ? 0u : 1u) +
-                                          (tile_set.empty() ? 0u : 1u));
+      EXPECT_EQ(stats.batch_kmer_ids, recorder.kmers.size());
+      EXPECT_EQ(stats.batch_tile_ids, recorder.tiles.size());
+      // Duplicated reads queue every ID twice; the round dedupe sends it
+      // once.
+      EXPECT_GT(stats.batch_kmer_ids_raw, stats.batch_kmer_ids);
+      EXPECT_GT(stats.batch_tile_ids_raw, stats.batch_tile_ids);
+
+      seq::ReadBatch got = batch;
+      for (auto& r : got) corrector.correct(r, view);
+      EXPECT_EQ(view.remote_stats().remote_lookups(), 0u);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].bases, expected[i].bases) << "read " << i;
+      }
       comm.signal_done();
     }
     comm.barrier();
@@ -437,6 +467,7 @@ TEST(BatchedLookups, FewerMessagesAndLargerPayloadsThanScalar) {
   DistConfig config;
   config.params = test_params();
   config.ranks = 4;
+  config.heuristics.batch_lookups = false;  // the paper's scalar protocol
   const auto scalar = run_distributed(dataset().reads, config);
   config.heuristics.batch_lookups = true;
   const auto batched = run_distributed(dataset().reads, config);

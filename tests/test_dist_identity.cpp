@@ -212,10 +212,11 @@ TEST(DistPipeline, RemoteLookupsVanishWhenFullyReplicated) {
 TEST(DistPipeline, TileRequestsDominateRemoteTraffic) {
   // Paper: "the majority of the communication time is spent in
   // communication of tiles especially tiles which are not part of the tile
-  // spectrum".
+  // spectrum". The subject is the paper's scalar protocol.
   DistConfig config;
   config.params = test_params();
   config.ranks = 4;
+  config.heuristics.batch_lookups = false;
   const auto result = run_distributed(shared_dataset().reads, config);
   std::uint64_t kmer_remote = 0, tile_remote = 0, tile_absent = 0;
   for (const auto& rank : result.ranks) {
@@ -228,9 +229,11 @@ TEST(DistPipeline, TileRequestsDominateRemoteTraffic) {
 }
 
 TEST(DistPipeline, ReadKmersReducesRemoteLookups) {
+  // Scalar protocol: under the wavefront remote lookups are 0 either way.
   DistConfig config;
   config.params = test_params();
   config.ranks = 4;
+  config.heuristics.batch_lookups = false;
   const auto base = run_distributed(shared_dataset().reads, config);
   config.heuristics.read_kmers = true;
   const auto cached = run_distributed(shared_dataset().reads, config);
@@ -245,9 +248,12 @@ TEST(DistPipeline, ReadKmersReducesRemoteLookups) {
 }
 
 TEST(DistPipeline, AddRemoteCachesRepeatLookups) {
+  // Scalar protocol: add_remote caches scalar replies, and the wavefront
+  // leaves none to cache.
   DistConfig config;
   config.params = test_params();
   config.ranks = 4;
+  config.heuristics.batch_lookups = false;
   config.heuristics.read_kmers = true;
   const auto without = run_distributed(shared_dataset().reads, config);
   config.heuristics.add_remote = true;

@@ -59,6 +59,7 @@ TEST(PartialReplication, ReducesRemoteLookupsMonotonically) {
   config.params = test_params();
   config.ranks = 8;
   config.ranks_per_node = 4;
+  config.heuristics.batch_lookups = false;  // counts scalar round trips
   std::uint64_t previous = ~0ull;
   for (int group : {1, 2, 4, 8}) {
     config.heuristics.partial_replication_group = group;

@@ -408,6 +408,66 @@ TEST(FaultInjection, PipelineUnderLossyChaosNeverMiscorrects) {
   (void)degraded_lookups;
 }
 
+TEST(FaultInjection, DroppingEveryBatchEndsTheWavefront) {
+  // Every message is lost, every batch of the chunk wavefront included.
+  // Each chunk's first round is abandoned after its retries and the
+  // wavefront stops there, so the batches sent are exactly the first
+  // rounds' (an unbounded wavefront would re-send forever). Every remote
+  // lookup then degrades on the scalar path: the job finishes, reports
+  // the degradation, and changes no base the sequential baseline would not.
+  seq::DatasetSpec spec{"blackhole", 160, 50, 500};
+  seq::ErrorModelParams errors;
+  errors.error_rate_start = 0.005;
+  errors.error_rate_end = 0.015;
+  const auto ds = seq::SyntheticDataset::generate(spec, errors, 61);
+  core::CorrectorParams params;
+  params.k = 10;
+  params.tile_overlap = 4;
+  params.chunk_size = 40;
+  const auto ref = core::run_sequential(ds.reads, params);
+
+  parallel::DistConfig config;
+  config.params = params;
+  config.ranks = 2;
+  config.run_options.chaos.seed = 404;
+  config.run_options.chaos.max_delay_us = 0;
+  config.run_options.chaos.drop_rate = 1.0;
+  config.retry.timeout_ticks = 1;
+  config.retry.max_retries = 1;
+  ASSERT_TRUE(config.heuristics.batch_lookups);  // the default
+
+  const auto result = parallel::run_distributed(ds.reads, config);
+  ASSERT_EQ(result.corrected.size(), ref.corrected.size());
+  std::uint64_t degraded = 0;
+  for (const auto& r : result.ranks) {
+    EXPECT_GT(r.remote.batch_abandoned, 0u) << "rank " << r.rank;
+    // One round per chunk: every batch sent was abandoned, none re-sent
+    // beyond its retries.
+    EXPECT_EQ(r.remote.batch_requests, r.remote.batch_abandoned)
+        << "rank " << r.rank;
+    EXPECT_EQ(r.remote.batch_retries, r.remote.batch_abandoned)
+        << "rank " << r.rank;
+    EXPECT_GT(r.remote.degraded_lookups, 0u) << "rank " << r.rank;
+    EXPECT_EQ(r.remote.prefetch_hits, 0u) << "rank " << r.rank;
+    degraded += r.tiles_degraded;
+  }
+  EXPECT_GT(degraded, 0u);
+  for (std::size_t i = 0; i < ref.corrected.size(); ++i) {
+    ASSERT_EQ(result.corrected[i].number, ref.corrected[i].number);
+    const std::string& original = ds.reads[i].bases;
+    const std::string& want = ref.corrected[i].bases;
+    const std::string& got = result.corrected[i].bases;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t b = 0; b < got.size(); ++b) {
+      if (got[b] != want[b]) {
+        EXPECT_EQ(got[b], original[b])
+            << "read " << ref.corrected[i].number << " base " << b;
+      }
+    }
+  }
+  EXPECT_LT(result.total_substitutions(), ref.substitutions);
+}
+
 TEST(FaultInjection, FaultFreeRunHasZeroFaultCounters) {
   // With chaos off and retries off, every new counter must stay zero and
   // the output must be bit-identical to the sequential baseline — the

@@ -6,7 +6,7 @@
 namespace reptile::parallel {
 namespace {
 
-TEST(Heuristics, DefaultIsBalancedBase) {
+TEST(Heuristics, DefaultIsBalancedBaseWithWavefront) {
   const Heuristics h;
   EXPECT_FALSE(h.universal);
   EXPECT_FALSE(h.read_kmers);
@@ -14,15 +14,17 @@ TEST(Heuristics, DefaultIsBalancedBase) {
   EXPECT_FALSE(h.allgather_tiles);
   EXPECT_FALSE(h.add_remote);
   EXPECT_FALSE(h.batch_reads);
+  EXPECT_TRUE(h.batch_lookups);  // the chunk wavefront
   EXPECT_TRUE(h.load_balance);
   EXPECT_EQ(h.partial_replication_group, 1);
   EXPECT_FALSE(h.bloom_construction);
   EXPECT_NO_THROW(h.validate());
-  EXPECT_EQ(h.label(), "load_balance");
+  EXPECT_EQ(h.label(), "batch_lookups+load_balance");
 }
 
 TEST(Heuristics, LabelListsActiveFlags) {
   Heuristics h;
+  h.batch_lookups = false;
   h.load_balance = false;
   EXPECT_EQ(h.label(), "base");
   h.universal = true;

@@ -318,13 +318,15 @@ TEST(ObsTrace, LedgerOffRunHasZeroCountersAndIdenticalOutput) {
 TEST(ObsTrace, MetricsRunPublishesHistogramsAndCounters) {
   ObsReset reset;
   const auto ds = small_dataset();
-  const auto result = parallel::run_distributed(ds.reads, traced_config(2));
+  parallel::DistConfig config = traced_config(2);
+  config.heuristics.batch_lookups = false;  // scalar lookups: RTT samples
+  const auto result = parallel::run_distributed(ds.reads, config);
 
   ASSERT_TRUE(Registry::global().enabled());
   EXPECT_GT(Registry::global().size(), 0u);
 
-  // The 2-rank universal run performs remote lookups, so both ranks have a
-  // lookup RTT histogram and the text dump renders them.
+  // The 2-rank universal scalar run performs remote lookups, so both ranks
+  // have a lookup RTT histogram and the text dump renders them.
   std::uint64_t rtt_samples = 0;
   for (int rank = 0; rank < 2; ++rank) {
     rtt_samples +=

@@ -10,6 +10,8 @@
 //     local_peak() unconditionally (ledger on or off);
 //   * peaks are high-water marks per account AND for the live total;
 //   * disabled ledger: add/sub are no-ops and balances stay zero;
+//   * the chunk wavefront bills its buffers to remote_cache and a serve
+//     job releases them when it ends;
 //   * RssSampler records an OS-observed peak and keeps sampling until
 //     stop(); publish_ledger_metrics renders the labelled gauges.
 
@@ -27,9 +29,16 @@
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/admission.hpp"
+#include "parallel/dist_pipeline.hpp"
+#include "parallel/dist_spectrum.hpp"
+#include "parallel/lookup_service.hpp"
+#include "parallel/remote_spectrum.hpp"
+#include "parallel/serve.hpp"
+#include "rtm/comm.hpp"
 #include "rtm/mailbox.hpp"
 #include "rtm/message.hpp"
 #include "seq/chunk_stream.hpp"
+#include "seq/dataset.hpp"
 #include "seq/read.hpp"
 
 namespace reptile {
@@ -254,6 +263,75 @@ TEST_F(LedgerTest, ChunkStreamBalanceEqualsBatchBytes) {
     EXPECT_EQ(balance(LedgerAccount::kReadBuffers), 0u);
   }
   EXPECT_EQ(balance(LedgerAccount::kReadBuffers), 0u);
+}
+
+TEST_F(LedgerTest, WavefrontBuffersBalanceEqualsViewMemoryBytes) {
+  // The chunk wavefront's cache, owner buckets and base copies all bill
+  // remote_cache: the account balance is the view's memory_bytes(), and
+  // destroying the view releases it.
+  core::CorrectorParams p;
+  p.k = 10;
+  p.tile_overlap = 4;
+  seq::DatasetSpec spec{"ledger", 200, 60, 600};
+  seq::ErrorModelParams errors;
+  errors.error_rate_start = 0.01;
+  errors.error_rate_end = 0.02;
+  const auto ds = seq::SyntheticDataset::generate(spec, errors, 8);
+  rtm::run_world({2, 1}, [&](rtm::Comm& comm) {
+    parallel::DistSpectrum spectrum(p, parallel::Heuristics{}, comm);
+    if (comm.rank() == 0) {
+      for (const auto& r : ds.reads) spectrum.add_read(r.bases);
+    }
+    spectrum.exchange_to_owners();
+    comm.reset_done();
+    if (comm.rank() == 0) {
+      parallel::LookupService service(comm, spectrum);
+      std::thread server([&service] { service.serve(); });
+      comm.signal_done();
+      server.join();
+    } else {
+      {
+        parallel::RemoteSpectrumView view(comm, spectrum);
+        view.prefetch_chunk(ds.reads);
+        EXPECT_GT(view.remote_stats().batch_requests, 0u);
+        EXPECT_GT(view.memory_bytes(), 0u);
+        EXPECT_EQ(balance(LedgerAccount::kRemoteCache), view.memory_bytes());
+      }
+      EXPECT_EQ(balance(LedgerAccount::kRemoteCache), 0u);
+      comm.signal_done();
+    }
+    comm.barrier();
+  });
+}
+
+TEST_F(LedgerTest, ServeJobReleasesItsWavefrontBuffers) {
+  seq::DatasetSpec spec{"ledger-serve", 300, 60, 900};
+  seq::ErrorModelParams errors;
+  errors.error_rate_start = 0.005;
+  errors.error_rate_end = 0.015;
+  const auto reads = seq::SyntheticDataset::generate(spec, errors, 9).reads;
+  parallel::DistConfig config;
+  config.params.k = 10;
+  config.params.tile_overlap = 4;
+  config.params.chunk_size = 64;
+  config.ranks = 2;
+  config.trace.ledger = true;
+  parallel::CorrectionServer server(reads, config);
+  for (int job = 0; job < 2; ++job) {
+    parallel::JobRequest request;
+    request.reads = reads;
+    const parallel::JobReport report = server.submit(std::move(request)).get();
+    for (const parallel::RankReport& rank : report.ranks) {
+      std::uint64_t peak = 0;
+      for (const auto& row : rank.ledger) {
+        if (std::string(row.account) == "remote_cache") peak = row.peak_bytes;
+      }
+      EXPECT_GT(peak, 0u) << "job " << job << " rank " << rank.rank;
+    }
+    // The job's views, and with them every wavefront buffer, are gone.
+    EXPECT_EQ(balance(LedgerAccount::kRemoteCache), 0u) << "job " << job;
+  }
+  server.shutdown();
 }
 
 // --- RSS sampler and gauges ------------------------------------------------

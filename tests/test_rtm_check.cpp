@@ -170,6 +170,53 @@ TEST(RtmCheckAudit, LeakedReplyIsClassifiedAsOrphan) {
             std::string::npos);
 }
 
+TEST(RtmCheckAudit, TruncatedLeftoverReplyIsStaleNotOrphan) {
+  // The fault injector cuts every message short. A reply nobody consumed
+  // is a leftover either way; when the cut leaves too few bytes to read
+  // its seq, only the truncation explains it — never an orphan.
+  bool unreadable_seen = false;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    rtm::RunOptions options = lint_options();
+    options.chaos.seed = seed;
+    options.chaos.max_delay_us = 0;
+    options.chaos.truncate_rate = 1.0;
+    auto world = rtm::run_world({2, 1}, [](rtm::Comm& comm) {
+      if (comm.rank() == 0) {
+        parallel::LookupRequest req;
+        req.id = 42;
+        req.seq = 5;
+        req.reply_to = parallel::kTagKmerReply;
+        comm.send_value(1, parallel::kTagKmerRequest, req);
+        // Wait for the reply to land (finalize audits mailboxes, not the
+        // injector's queue), but leave it there.
+        while (!comm.iprobe(1, parallel::kTagKmerReply)) {
+          std::this_thread::yield();
+        }
+      } else {
+        (void)comm.recv(0, parallel::kTagKmerRequest);  // truncated bytes
+        parallel::LookupReply reply;
+        reply.seq = 5;
+        comm.send_value(0, parallel::kTagKmerReply, reply);
+      }
+      comm.barrier();
+    }, options);
+    const auto snapshot = world->checker()->snapshot(0);
+    EXPECT_EQ(snapshot.leaked_messages, 0u) << "seed " << seed;
+    EXPECT_EQ(snapshot.orphaned_replies, 0u) << "seed " << seed;
+    EXPECT_EQ(snapshot.stale_leaks, 1u) << "seed " << seed;
+    const std::string report = world->checker()->final_report();
+    for (int bytes = 0; bytes < 8; ++bytes) {
+      const std::string unreadable =
+          "tag=" + std::to_string(parallel::kTagKmerReply) + ", " +
+          std::to_string(bytes) + " bytes";
+      unreadable_seen = unreadable_seen ||
+                        report.find(unreadable) != std::string::npos;
+    }
+  }
+  // Some seed cut the reply below its 8-byte seq.
+  EXPECT_TRUE(unreadable_seen);
+}
+
 TEST(RtmCheckAudit, UnansweredRequestIsReported) {
   // The request reaches rank 1 and is consumed, but no reply is ever sent:
   // the pairing ledger must show rank 0 still waiting at run end.

@@ -109,6 +109,7 @@ TEST(ThreadedWorkersChecks, InvalidConfigsRejected) {
   config.worker_threads = 2;
   config.heuristics.read_kmers = true;
   config.heuristics.add_remote = true;
+  config.heuristics.batch_lookups = false;  // shared reads tables: unsafe
   EXPECT_THROW(run_distributed(dataset().reads, config),
                std::invalid_argument);
 }
