@@ -224,7 +224,7 @@ std::vector<LookupRow> measure_remote_lookups(
 
     if (comm.rank() == 1) {
       std::vector<std::uint64_t> owned;
-      spectrum.hash_kmers().for_each(
+      spectrum.owned_table(LookupKind::kKmer).for_each(
           [&](std::uint64_t id, std::uint32_t) { owned.push_back(id); });
       comm.send<std::uint64_t>(
           0, 97, std::span<const std::uint64_t>(owned.data(), owned.size()));
@@ -254,8 +254,8 @@ std::vector<LookupRow> measure_remote_lookups(
       scalar.seconds = clock.seconds();
       rows.push_back(scalar);
 
-      // Batched: one vectored round trip per `batch` lookups.
-      std::vector<std::uint8_t> buf;
+      // Batched: one vectored round trip per `batch` lookups, encoded
+      // straight into an arena payload like the wavefront's requests.
       std::vector<std::uint64_t> group;
       for (const std::size_t batch : batch_sizes) {
         LookupRow row;
@@ -266,19 +266,19 @@ std::vector<LookupRow> measure_remote_lookups(
           for (std::size_t j = 0; j < batch && done + j < lookups; ++j) {
             group.push_back(ids[(done + j) % ids.size()]);
           }
-          buf.clear();
-          encode_batch_request(
-              LookupKind::kKmer, batch_reply_tag(LookupKind::kKmer),
-              std::span<const std::uint64_t>(group.data(), group.size()),
-              buf);
-          comm.send<std::uint8_t>(
-              1, kTagBatchRequest,
-              std::span<const std::uint8_t>(buf.data(), buf.size()));
-          const auto reply = decode_batch_reply(
-              comm.recv(1, batch_reply_tag(LookupKind::kKmer)).payload);
-          benchmark::DoNotOptimize(reply.counts.data());
+          rtm::Payload payload =
+              comm.make_payload(batch_request_bytes(group.size()));
+          encode_batch_request_into(
+              payload.data(), LookupKind::kKmer,
+              batch_reply_tag(LookupKind::kKmer),
+              std::span<const std::uint64_t>(group.data(), group.size()));
+          comm.send_payload(1, kTagBatchRequest, std::move(payload));
+          const rtm::Message msg =
+              comm.recv(1, batch_reply_tag(LookupKind::kKmer));
+          const BatchReplyView reply = view_batch_reply(msg.payload);
+          benchmark::DoNotOptimize(reply.counts);
           ++row.messages;
-          row.lookups += reply.counts.size();
+          row.lookups += reply.count;
         }
         row.seconds = clock.seconds();
         rows.push_back(row);
@@ -422,7 +422,7 @@ RttResult measure_lookup_rtt(std::size_t lookups) {
         spectrum.exchange_to_owners();
         if (comm.rank() == 1) {
           std::vector<std::uint64_t> owned;
-          spectrum.hash_kmers().for_each(
+          spectrum.owned_table(LookupKind::kKmer).for_each(
               [&](std::uint64_t id, std::uint32_t) { owned.push_back(id); });
           comm.send<std::uint64_t>(
               0, 97, std::span<const std::uint64_t>(owned.data(), owned.size()));

@@ -33,6 +33,17 @@
 
 namespace reptile::hash {
 
+/// Key under which a filter holding one rank's owned IDs stores `id`.
+/// owner_of() and the block index both reduce mix64(id), so the IDs a rank
+/// owns share mix64(id) % np; whenever np divides the block count they land
+/// in 1/np of the blocks and the filter answers as if it held np times its
+/// keys. Re-mixing the salted ID (a bijection: no new collisions) makes the
+/// block independent of the owner. bloom_construction and the exchanged
+/// filters of filter_lookups (build_from) key their filters this way.
+constexpr std::uint64_t owned_set_key(std::uint64_t id) noexcept {
+  return mix64(id ^ 0xD6E8FEB86659FD93ull);
+}
+
 class OwnerFilter {
  public:
   /// 8 x u64 = 512 bits: one cache line per key.
@@ -62,12 +73,14 @@ class OwnerFilter {
     nhashes_ = k < 1 ? 1 : (k > kMaxHashes ? kMaxHashes : k);
   }
 
-  /// Builds a filter over every key of a pruned owned table.
+  /// Builds a filter over every ID of a pruned owned table, keyed by
+  /// owned_set_key: probe it with possibly_contains(owned_set_key(id)).
   template <class Count, class Hash>
   static OwnerFilter build_from(const CountTable<Count, Hash>& table,
                                 double fp_rate = 0.01) {
     OwnerFilter f(table.size(), fp_rate);
-    table.for_each([&f](std::uint64_t id, Count) { f.insert(id); });
+    table.for_each(
+        [&f](std::uint64_t id, Count) { f.insert(owned_set_key(id)); });
     return f;
   }
 
@@ -238,16 +251,5 @@ class OwnerFilter {
   int nhashes_ = 1;
   std::uint64_t key_count_ = 0;
 };
-
-/// Key under which a filter holding one rank's owned IDs stores `id`.
-/// owner_of() and the block index both reduce mix64(id), so the IDs a rank
-/// owns share mix64(id) % np; whenever np divides the block count they land
-/// in 1/np of the blocks and the filter answers as if it held np times its
-/// keys. Re-mixing the salted ID (a bijection: no new collisions) makes the
-/// block independent of the owner. bloom_construction keys its filters this
-/// way; the exchanged filters of filter_lookups still store raw IDs.
-constexpr std::uint64_t owned_set_key(std::uint64_t id) noexcept {
-  return mix64(id ^ 0xD6E8FEB86659FD93ull);
-}
 
 }  // namespace reptile::hash

@@ -14,100 +14,84 @@ DistSpectrum::DistSpectrum(const core::CorrectorParams& params,
   heur_.validate();
 }
 
-void DistSpectrum::owner_add(hash::CountTable<>& owned_table,
-                             std::unique_ptr<hash::OwnerFilter>& bloom,
-                             std::uint64_t id, std::uint32_t count) {
+void DistSpectrum::owner_add(Tables& t, std::uint64_t id,
+                             std::uint32_t count) {
   if (!heur_.bloom_construction) {
-    owned_table.increment(id, count);
+    t.owned.increment(id, count);
     return;
   }
   // Bloom-filter construction (paper Step III note): singletons stay in
   // the filter; the exact table only holds IDs sighted at least twice.
-  if (owned_table.contains(id)) {
-    owned_table.increment(id, count);
+  if (t.owned.contains(id)) {
+    t.owned.increment(id, count);
     return;
   }
-  if (!bloom) {
+  if (!t.bloom) {
     // Lazy sizing for 2^20 IDs: a 3% target buys ~9.5 bits per ID, the
     // 1.2 B/ID the performance model charges for this mode.
-    bloom = std::make_unique<hash::OwnerFilter>(1 << 20, 0.03);
+    t.bloom = std::make_unique<hash::OwnerFilter>(1 << 20, 0.03);
   }
   const std::uint64_t key = hash::owned_set_key(id);
   if (count >= 2) {
-    owned_table.increment(id, count);
-    bloom->insert(key);
+    t.owned.increment(id, count);
+    t.bloom->insert(key);
     return;
   }
-  if (bloom->insert(key)) {
+  if (t.bloom->insert(key)) {
     // Second sighting (or a rare false positive): admit, crediting the
     // first sighting parked in the filter.
-    owned_table.increment(id, count + 1);
+    t.owned.increment(id, count + 1);
   }
 }
 
 void DistSpectrum::add_read(std::string_view bases) {
-  kmer_scratch_.clear();
-  tile_scratch_.clear();
-  extractor_.extract(bases, kmer_scratch_, tile_scratch_);
+  Tables& kmers = tables(LookupKind::kKmer);
+  Tables& tiles = tables(LookupKind::kTile);
+  kmers.scratch.clear();
+  tiles.scratch.clear();
+  extractor_.extract(bases, kmers.scratch, tiles.scratch);
   const int me = comm_->rank();
   const int np = comm_->size();
-  for (seq::kmer_id_t id : kmer_scratch_) {
-    if (hash::owner_of(id, np) == me) {
-      owner_add(hash_kmer_, bloom_kmer_, id, 1);
-    } else {
-      pending_kmer_.increment(id);
-      if (heur_.read_kmers) reads_kmer_.increment(id);
-    }
-  }
-  for (seq::tile_id_t id : tile_scratch_) {
-    if (hash::owner_of(id, np) == me) {
-      owner_add(hash_tile_, bloom_tile_, id, 1);
-    } else {
-      pending_tile_.increment(id);
-      if (heur_.read_kmers) reads_tile_.increment(id);
+  for (Tables& t : tables_) {
+    for (const std::uint64_t id : t.scratch) {
+      if (hash::owner_of(id, np) == me) {
+        owner_add(t, id, 1);
+      } else {
+        t.pending.increment(id);
+        if (heur_.read_kmers) t.reads.increment(id);
+      }
     }
   }
 }
 
-template <class Table>
-std::vector<std::vector<IdCount>> DistSpectrum::bucket_by_owner(
-    const Table& table) const {
+void DistSpectrum::exchange_one(Tables& t) {
   const int np = comm_->size();
   std::vector<std::vector<IdCount>> buckets(static_cast<std::size_t>(np));
-  table.for_each([&](std::uint64_t id, std::uint32_t count) {
+  t.pending.for_each([&](std::uint64_t id, std::uint32_t count) {
     buckets[static_cast<std::size_t>(hash::owner_of(id, np))].push_back(
         {id, count});
   });
-  return buckets;
-}
-
-void DistSpectrum::exchange_one(hash::CountTable<>& pending_table,
-                                hash::CountTable<>& owned_table,
-                                std::unique_ptr<hash::OwnerFilter>& bloom) {
-  const auto buckets = bucket_by_owner(pending_table);
   const auto received = comm_->alltoallv(buckets);
   for (const auto& part : received) {
-    for (const IdCount& e : part) owner_add(owned_table, bloom, e.id, e.count);
+    for (const IdCount& e : part) owner_add(t, e.id, e.count);
   }
-  pending_table.clear();
+  t.pending.clear();
 }
 
 void DistSpectrum::exchange_to_owners() {
-  exchange_one(pending_kmer_, hash_kmer_, bloom_kmer_);
-  exchange_one(pending_tile_, hash_tile_, bloom_tile_);
+  for (Tables& t : tables_) exchange_one(t);
 }
 
 void DistSpectrum::prune() {
-  hash_kmer_.prune_below(params_.kmer_threshold);
-  hash_tile_.prune_below(params_.tile_threshold);
+  tables(LookupKind::kKmer).owned.prune_below(params_.kmer_threshold);
+  tables(LookupKind::kTile).owned.prune_below(params_.tile_threshold);
 }
 
-void DistSpectrum::fetch_one(hash::CountTable<>& reads_table,
-                             const hash::CountTable<>& owned_table) {
+void DistSpectrum::fetch_one(Tables& t) {
   const int np = comm_->size();
   // Round 1: send the IDs we want counted to their owners.
   std::vector<std::vector<std::uint64_t>> asks(static_cast<std::size_t>(np));
-  reads_table.for_each([&](std::uint64_t id, std::uint32_t) {
+  t.reads.for_each([&](std::uint64_t id, std::uint32_t) {
     asks[static_cast<std::size_t>(hash::owner_of(id, np))].push_back(id);
   });
   const auto questions = comm_->alltoallv(asks);
@@ -120,14 +104,14 @@ void DistSpectrum::fetch_one(hash::CountTable<>& reads_table,
     auto& a = answers[static_cast<std::size_t>(src)];
     a.reserve(q.size());
     for (std::uint64_t id : q) {
-      a.push_back(owned_table.find(id).value_or(0));
+      a.push_back(t.owned.find(id).value_or(0));
     }
   }
   const auto replies = comm_->alltoallv(answers);
 
   // Rebuild the reads table with global counts, in the same per-owner order
   // the asks were issued.
-  hash::CountTable<> rebuilt(reads_table.size());
+  hash::CountTable<> rebuilt(t.reads.size());
   for (int owner = 0; owner < np; ++owner) {
     const auto& sent = asks[static_cast<std::size_t>(owner)];
     const auto& got = replies[static_cast<std::size_t>(owner)];
@@ -135,40 +119,31 @@ void DistSpectrum::fetch_one(hash::CountTable<>& reads_table,
       rebuilt.increment(sent[i], got[i]);  // count 0 marks known-absent
     }
   }
-  reads_table = std::move(rebuilt);
+  t.reads = std::move(rebuilt);
 }
 
 void DistSpectrum::fetch_global_reads_tables() {
-  fetch_one(reads_kmer_, hash_kmer_);
-  fetch_one(reads_tile_, hash_tile_);
+  for (Tables& t : tables_) fetch_one(t);
 }
 
-void DistSpectrum::replicate_kmers() {
-  const auto mine = hash_kmer_.entries();
+std::vector<IdCount> DistSpectrum::owned_entries(const Tables& t) {
   std::vector<IdCount> flat;
-  flat.reserve(mine.size());
-  for (const auto& [id, count] : mine) flat.push_back({id, count});
-  const auto all =
-      comm_->allgatherv(std::span<const IdCount>(flat.data(), flat.size()));
-  replica_kmer_ = hash::CountTable<>(all.size());
-  for (const IdCount& e : all) replica_kmer_.increment(e.id, e.count);
-  kmers_replicated_ = true;
-  // Every rank now resolves k-mers from the replica; the owned shard is
-  // redundant (no rank will request k-mers remotely in this mode).
-  hash_kmer_.clear();
+  flat.reserve(t.owned.size());
+  t.owned.for_each(
+      [&](std::uint64_t id, std::uint32_t count) { flat.push_back({id, count}); });
+  return flat;
 }
 
-void DistSpectrum::replicate_tiles() {
-  const auto mine = hash_tile_.entries();
-  std::vector<IdCount> flat;
-  flat.reserve(mine.size());
-  for (const auto& [id, count] : mine) flat.push_back({id, count});
+void DistSpectrum::replicate(LookupKind kind) {
+  Tables& t = tables(kind);
+  const auto mine = owned_entries(t);
   const auto all =
-      comm_->allgatherv(std::span<const IdCount>(flat.data(), flat.size()));
-  replica_tile_ = hash::CountTable<>(all.size());
-  for (const IdCount& e : all) replica_tile_.increment(e.id, e.count);
-  tiles_replicated_ = true;
-  hash_tile_.clear();
+      comm_->allgatherv(std::span<const IdCount>(mine.data(), mine.size()));
+  t.replica = hash::CountTable<>(all.size());
+  for (const IdCount& e : all) t.replica.increment(e.id, e.count);
+  // Every rank now resolves this kind from the replica; the owned shard is
+  // redundant (no rank will request it remotely in this mode).
+  t.owned.clear();
 }
 
 void DistSpectrum::replicate_group() {
@@ -178,29 +153,24 @@ void DistSpectrum::replicate_group() {
   const int me = comm_->rank();
   const int my_group = me / g;
 
-  auto replicate_one = [&](const hash::CountTable<>& owned,
-                           hash::CountTable<>& group_table) {
+  for (Tables& t : tables_) {
     // Send my owned shard to every other member of my group; everyone must
     // participate in the alltoallv regardless of group membership.
-    const auto mine = owned.entries();
-    std::vector<IdCount> flat;
-    flat.reserve(mine.size());
-    for (const auto& [id, count] : mine) flat.push_back({id, count});
+    const auto mine = owned_entries(t);
     std::vector<std::vector<IdCount>> buckets(static_cast<std::size_t>(np));
     for (int dst = 0; dst < np; ++dst) {
       if (dst != me && dst / g == my_group) {
-        buckets[static_cast<std::size_t>(dst)] = flat;
+        buckets[static_cast<std::size_t>(dst)] = mine;
       }
     }
     const auto received = comm_->alltoallv(buckets);
-    group_table = hash::CountTable<>(owned.size() * static_cast<std::size_t>(g));
-    for (const auto& [id, count] : mine) group_table.increment(id, count);
+    t.group =
+        hash::CountTable<>(t.owned.size() * static_cast<std::size_t>(g));
+    for (const IdCount& e : mine) t.group.increment(e.id, e.count);
     for (const auto& part : received) {
-      for (const IdCount& e : part) group_table.increment(e.id, e.count);
+      for (const IdCount& e : part) t.group.increment(e.id, e.count);
     }
-  };
-  replicate_one(hash_kmer_, group_kmer_);
-  replicate_one(hash_tile_, group_tile_);
+  }
 }
 
 void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
@@ -213,19 +183,12 @@ void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
   if (!heur_.filter_lookups) return;
   const int np = comm_->size();
   const int me = comm_->rank();
-  peer_filter_kmer_.clear();
-  peer_filter_kmer_.resize(static_cast<std::size_t>(np));
-  peer_filter_tile_.clear();
-  peer_filter_tile_.resize(static_cast<std::size_t>(np));
+  for (Tables& t : tables_) {
+    t.peer_filters.clear();
+    t.peer_filters.resize(static_cast<std::size_t>(np));
+  }
   filter_bytes_ = 0;
   if (np <= 1 || heur_.fully_replicated()) return;
-
-  // Kinds resolved by allgather replication never go remote, and their
-  // owned shards were cleared by replicate_* anyway — no filter to build.
-  std::vector<std::pair<LookupKind, const hash::CountTable<>*>> kinds;
-  if (!heur_.allgather_kmers) kinds.emplace_back(LookupKind::kKmer, &hash_kmer_);
-  if (!heur_.allgather_tiles) kinds.emplace_back(LookupKind::kTile, &hash_tile_);
-  if (kinds.empty()) return;
 
   // Out-of-group peers only: in-group lookups resolve from the replicated
   // group tables and never reach the wire.
@@ -237,10 +200,15 @@ void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
 
   // Phase 1: every rank posts all its (buffered, non-blocking) sends before
   // any rank starts receiving, so the blocking collection below cannot
-  // deadlock even without retry timeouts.
-  for (const auto& [kind, table] : kinds) {
-    const hash::OwnerFilter filter =
-        hash::OwnerFilter::build_from(*table, heur_.filter_fp_rate);
+  // deadlock even without retry timeouts. Kinds resolved by allgather
+  // replication never go remote, and their owned shards were cleared by
+  // replicate() anyway — no filter to build.
+  std::size_t kinds = 0;
+  for (const LookupKind kind : kLookupKinds) {
+    if (heur_.allgather(kind)) continue;
+    ++kinds;
+    const hash::OwnerFilter filter = hash::OwnerFilter::build_from(
+        tables(kind).owned, heur_.filter_fp_rate);
     for (int dst : peers) {
       rtm::Payload payload = comm_->make_payload(filter_exchange_bytes(filter));
       encode_filter_exchange_into(payload.data(), kind, filter);
@@ -251,15 +219,13 @@ void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
   // Phase 2: collect one message per (peer, kind). A filter that cannot be
   // decoded (chaos truncation) or never arrives within the retry budget
   // leaves its slot null — that owner keeps the unfiltered wire path.
-  const std::size_t expected = peers.size() * kinds.size();
+  const std::size_t expected = peers.size() * kinds;
   const auto accept = [&](const rtm::Message& m) {
     try {
       FilterExchange fx = decode_filter_exchange(m.payload);
-      auto& slot = (fx.kind == LookupKind::kKmer ? peer_filter_kmer_
-                                                 : peer_filter_tile_)
-          [static_cast<std::size_t>(m.source)];
       filter_bytes_ += fx.filter.memory_bytes();
-      slot = std::make_unique<hash::OwnerFilter>(std::move(fx.filter));
+      tables(fx.kind).peer_filters[static_cast<std::size_t>(m.source)] =
+          std::make_unique<hash::OwnerFilter>(std::move(fx.filter));
     } catch (const std::exception&) {
       // Malformed: drop. Trusting garbled bits could fake false negatives.
     }
@@ -288,118 +254,72 @@ void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
   }
 }
 
-DistSpectrum::FilterAnswer DistSpectrum::filter_kmer(seq::kmer_id_t id,
-                                                     int owner) const {
-  if (owner < 0 || static_cast<std::size_t>(owner) >= peer_filter_kmer_.size()) {
+DistSpectrum::FilterAnswer DistSpectrum::filter(LookupKind kind,
+                                                std::uint64_t id,
+                                                int owner) const {
+  const auto& filters = tables(kind).peer_filters;
+  if (owner < 0 || static_cast<std::size_t>(owner) >= filters.size()) {
     return FilterAnswer::kNoFilter;
   }
-  const auto& filter = peer_filter_kmer_[static_cast<std::size_t>(owner)];
-  if (!filter) return FilterAnswer::kNoFilter;
-  return filter->possibly_contains(id) ? FilterAnswer::kMaybePresent
-                                       : FilterAnswer::kDefinitelyAbsent;
-}
-
-DistSpectrum::FilterAnswer DistSpectrum::filter_tile(seq::tile_id_t id,
-                                                     int owner) const {
-  if (owner < 0 || static_cast<std::size_t>(owner) >= peer_filter_tile_.size()) {
-    return FilterAnswer::kNoFilter;
-  }
-  const auto& filter = peer_filter_tile_[static_cast<std::size_t>(owner)];
-  if (!filter) return FilterAnswer::kNoFilter;
-  return filter->possibly_contains(id) ? FilterAnswer::kMaybePresent
-                                       : FilterAnswer::kDefinitelyAbsent;
+  const auto& f = filters[static_cast<std::size_t>(owner)];
+  if (!f) return FilterAnswer::kNoFilter;
+  // build_from keyed the owner's IDs by owned_set_key: raw IDs, which all
+  // share owner_of(id), would crowd into a fraction of the blocks.
+  return f->possibly_contains(hash::owned_set_key(id))
+             ? FilterAnswer::kMaybePresent
+             : FilterAnswer::kDefinitelyAbsent;
 }
 
 void DistSpectrum::drop_reads_tables() {
-  pending_kmer_.clear();
-  pending_tile_.clear();
-  reads_kmer_.clear();
-  reads_tile_.clear();
-  remote_cache_order_kmer_.clear();
-  remote_cache_order_tile_.clear();
-}
-
-std::optional<std::uint32_t> DistSpectrum::owned_kmer(seq::kmer_id_t id) const {
-  return hash_kmer_.find(id);
-}
-std::optional<std::uint32_t> DistSpectrum::owned_tile(seq::tile_id_t id) const {
-  return hash_tile_.find(id);
-}
-std::optional<std::uint32_t> DistSpectrum::reads_kmer(seq::kmer_id_t id) const {
-  return reads_kmer_.find(id);
-}
-std::optional<std::uint32_t> DistSpectrum::reads_tile(seq::tile_id_t id) const {
-  return reads_tile_.find(id);
-}
-std::optional<std::uint32_t> DistSpectrum::replica_kmer(
-    seq::kmer_id_t id) const {
-  return replica_kmer_.find(id);
-}
-std::optional<std::uint32_t> DistSpectrum::replica_tile(
-    seq::tile_id_t id) const {
-  return replica_tile_.find(id);
-}
-
-std::optional<std::uint32_t> DistSpectrum::group_kmer(seq::kmer_id_t id) const {
-  return group_kmer_.find(id);
-}
-std::optional<std::uint32_t> DistSpectrum::group_tile(seq::tile_id_t id) const {
-  return group_tile_.find(id);
-}
-
-void DistSpectrum::cache_into(hash::CountTable<>& table,
-                              std::deque<std::uint64_t>& order,
-                              std::uint64_t id, std::uint32_t count) {
-  if (table.contains(id)) return;  // fetched or already cached
-  while (order.size() >= params_.remote_cache_capacity) {
-    table.erase(order.front());
-    order.pop_front();
+  for (Tables& t : tables_) {
+    t.pending.clear();
+    t.reads.clear();
+    t.remote_cache_order.clear();
   }
-  table.increment(id, count);
-  order.push_back(id);
 }
 
-void DistSpectrum::cache_remote_kmer(seq::kmer_id_t id, std::uint32_t count) {
-  cache_into(reads_kmer_, remote_cache_order_kmer_, id, count);
-}
-void DistSpectrum::cache_remote_tile(seq::tile_id_t id, std::uint32_t count) {
-  cache_into(reads_tile_, remote_cache_order_tile_, id, count);
+void DistSpectrum::cache_remote(LookupKind kind, std::uint64_t id,
+                                std::uint32_t count) {
+  Tables& t = tables(kind);
+  if (t.reads.contains(id)) return;  // fetched or already cached
+  while (t.remote_cache_order.size() >= params_.remote_cache_capacity) {
+    t.reads.erase(t.remote_cache_order.front());
+    t.remote_cache_order.pop_front();
+  }
+  t.reads.increment(id, count);
+  t.remote_cache_order.push_back(id);
 }
 
 void DistSpectrum::reset_for_job() {
   // The order deques hold exactly the add_remote-cached reply IDs — never
   // the fetch_global_reads_tables base entries — so erasing them restores
   // the reads tables to their end-of-construction state bit for bit.
-  for (const std::uint64_t id : remote_cache_order_kmer_) {
-    reads_kmer_.erase(id);
+  for (Tables& t : tables_) {
+    for (const std::uint64_t id : t.remote_cache_order) t.reads.erase(id);
+    t.remote_cache_order.clear();
   }
-  remote_cache_order_kmer_.clear();
-  for (const std::uint64_t id : remote_cache_order_tile_) {
-    reads_tile_.erase(id);
-  }
-  remote_cache_order_tile_.clear();
+}
+
+std::size_t DistSpectrum::Tables::memory_bytes() const {
+  std::size_t bytes = owned.memory_bytes() + pending.memory_bytes() +
+                      reads.memory_bytes() + replica.memory_bytes() +
+                      group.memory_bytes() +
+                      remote_cache_order.size() * sizeof(std::uint64_t);
+  if (bloom) bytes += bloom->memory_bytes();
+  return bytes;
 }
 
 SpectrumFootprint DistSpectrum::footprint() const {
+  const Tables& kmers = tables(LookupKind::kKmer);
+  const Tables& tiles = tables(LookupKind::kTile);
   SpectrumFootprint f;
-  f.hash_kmer_entries = hash_kmer_.size();
-  f.hash_tile_entries = hash_tile_.size();
-  f.reads_kmer_entries = reads_kmer_.size() + pending_kmer_.size();
-  f.reads_tile_entries = reads_tile_.size() + pending_tile_.size();
-  f.replica_kmer_entries = replica_kmer_.size();
-  f.replica_tile_entries = replica_tile_.size();
-  f.replica_kmer_entries += group_kmer_.size();
-  f.replica_tile_entries += group_tile_.size();
-  f.bytes = hash_kmer_.memory_bytes() + hash_tile_.memory_bytes() +
-            pending_kmer_.memory_bytes() + pending_tile_.memory_bytes() +
-            reads_kmer_.memory_bytes() + reads_tile_.memory_bytes() +
-            replica_kmer_.memory_bytes() + replica_tile_.memory_bytes() +
-            group_kmer_.memory_bytes() + group_tile_.memory_bytes();
-  f.bytes += (remote_cache_order_kmer_.size() +
-              remote_cache_order_tile_.size()) *
-             sizeof(std::uint64_t);
-  if (bloom_kmer_) f.bytes += bloom_kmer_->memory_bytes();
-  if (bloom_tile_) f.bytes += bloom_tile_->memory_bytes();
+  f.hash_kmer_entries = kmers.owned.size();
+  f.hash_tile_entries = tiles.owned.size();
+  f.reads_kmer_entries = kmers.reads.size() + kmers.pending.size();
+  f.reads_tile_entries = tiles.reads.size() + tiles.pending.size();
+  f.replica_kmer_entries = kmers.replica.size() + kmers.group.size();
+  f.replica_tile_entries = tiles.replica.size() + tiles.group.size();
+  for (const Tables& t : tables_) f.bytes += t.memory_bytes();
   f.filter_bytes = filter_bytes_;
   f.bytes += filter_bytes_;
   return f;

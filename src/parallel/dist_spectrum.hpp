@@ -1,18 +1,21 @@
 #pragma once
 // The distributed k-mer + tile spectrum: paper Steps II and III.
 //
-// Each rank keeps four hash tables:
-//   hashKmer  / hashTile  — entries this rank OWNS (hash(id) % np == rank),
-//                           holding true global counts after the exchange;
-//   readsKmer / readsTile — entries extracted from the rank's own reads that
-//                           it does not own, holding local counts until the
-//                           exchange routes them to their owners.
+// The paper keeps four hash tables per rank — hashKmer/hashTile for the
+// entries the rank OWNS (hash(id) % np == rank, true global counts after
+// the exchange) and readsKmer/readsTile for the entries of its own reads
+// it does not own. K-mers and tiles take the same path through every step,
+// so the class keeps one table set per LookupKind and every accessor takes
+// the kind as an argument: the owned table, the reads tables (pending
+// Step II counts and the persistent read-kmers table), the replica, the
+// group table, and the Bloom and peer filters.
 //
 // Step III is an alltoallv of (id, count) pairs to owners followed by a
 // merge; in batch mode (the "Batch Reads Table" heuristic) the exchange runs
 // after every chunk of reads and the reads tables are emptied, bounding the
 // construction-phase memory footprint.
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -50,8 +53,8 @@ class DistSpectrum {
   DistSpectrum(const core::CorrectorParams& params, const Heuristics& heur,
                rtm::Comm& comm);
 
-  /// Step II for one read: k-mers/tiles the rank owns go to hashKmer /
-  /// hashTile, the rest to readsKmer / readsTile.
+  /// Step II for one read: k-mers/tiles the rank owns go to its owned
+  /// tables, the rest to its reads tables.
   void add_read(std::string_view bases);
 
   /// Step III: alltoallv the reads tables to their owners, merge received
@@ -64,17 +67,16 @@ class DistSpectrum {
   /// Collective only in that every rank should do it at the same point.
   void prune();
 
-  /// Read-kmers heuristic: replaces the local counts of readsKmer/readsTile
+  /// Read-kmers heuristic: replaces the local counts of the reads tables
   /// (the non-owned IDs seen in this rank's reads) with *global* counts
   /// fetched from the owners; IDs pruned from the global spectrum are kept
   /// with count 0, i.e. known-absent. Collective (two alltoallv rounds per
   /// spectrum). Call after prune().
   void fetch_global_reads_tables();
 
-  /// Allgather replication heuristics: replicate the full k-mer (tile)
-  /// spectrum on every rank. Collective.
-  void replicate_kmers();
-  void replicate_tiles();
+  /// Allgather replication heuristics: replicate the full spectrum of
+  /// `kind` on every rank. Collective.
+  void replicate(LookupKind kind);
 
   /// Partial replication (paper Section V future work): every rank
   /// receives the owned spectra of all ranks in its replication group
@@ -91,7 +93,7 @@ class DistSpectrum {
   /// blocked-Bloom OwnerFilter over each still-owned table (kinds resolved
   /// by allgather replication are skipped — their owned shards were
   /// cleared) and sends it to every out-of-group peer; then collects the
-  /// peers' filters. Collective; call after prune()/replicate_* on the rank
+  /// peers' filters. Collective; call after prune()/replicate() on the rank
   /// main thread, before the correction service starts (kTagFilterExchange
   /// is the only tagged traffic in flight). Best effort when `retry` is
   /// armed: filters not received within the retry budget stay null and
@@ -100,24 +102,30 @@ class DistSpectrum {
   void exchange_filters(const RetryPolicy& retry);
 
   // --- lookups (all local; messaging lives in RemoteSpectrumView) --------
+  // Pass canonical IDs.
 
   /// Count in the owned table; nullopt when this rank is not the owner or
-  /// the entry was pruned/absent. Pass canonical IDs.
-  std::optional<std::uint32_t> owned_kmer(seq::kmer_id_t id) const;
-  std::optional<std::uint32_t> owned_tile(seq::tile_id_t id) const;
+  /// the entry was pruned/absent.
+  std::optional<std::uint32_t> owned(LookupKind kind, std::uint64_t id) const {
+    return tables(kind).owned.find(id);
+  }
 
   /// Count in the reads table; nullopt when absent.
-  std::optional<std::uint32_t> reads_kmer(seq::kmer_id_t id) const;
-  std::optional<std::uint32_t> reads_tile(seq::tile_id_t id) const;
+  std::optional<std::uint32_t> reads(LookupKind kind, std::uint64_t id) const {
+    return tables(kind).reads.find(id);
+  }
 
-  /// Count in the replicated table (only meaningful after replicate_*).
-  std::optional<std::uint32_t> replica_kmer(seq::kmer_id_t id) const;
-  std::optional<std::uint32_t> replica_tile(seq::tile_id_t id) const;
+  /// Count in the replicated table (only meaningful after replicate()).
+  std::optional<std::uint32_t> replica(LookupKind kind,
+                                       std::uint64_t id) const {
+    return tables(kind).replica.find(id);
+  }
 
   /// Count in the group table (after replicate_group()); a miss is a
   /// definitive absence when owner_in_my_group(owner_of(id)) holds.
-  std::optional<std::uint32_t> group_kmer(seq::kmer_id_t id) const;
-  std::optional<std::uint32_t> group_tile(seq::tile_id_t id) const;
+  std::optional<std::uint32_t> group(LookupKind kind, std::uint64_t id) const {
+    return tables(kind).group.find(id);
+  }
 
   /// True when `owner` belongs to this rank's replication group.
   bool owner_in_my_group(int owner) const noexcept {
@@ -131,20 +139,18 @@ class DistSpectrum {
   /// path. kDefinitelyAbsent is exact: the owner's pruned table cannot
   /// contain the ID, so the reply would be -1 (count 0).
   enum class FilterAnswer { kNoFilter, kDefinitelyAbsent, kMaybePresent };
-  FilterAnswer filter_kmer(seq::kmer_id_t id, int owner) const;
-  FilterAnswer filter_tile(seq::tile_id_t id, int owner) const;
+  FilterAnswer filter(LookupKind kind, std::uint64_t id, int owner) const;
 
   /// Total bytes of peer filters held after exchange_filters().
   std::size_t filter_bytes() const noexcept { return filter_bytes_; }
 
-  /// Caches a remote reply (add_remote heuristic); count 0 records a
-  /// definitive absence. The cache is bounded by
+  /// Caches a remote reply in the reads table (add_remote heuristic); count
+  /// 0 records a definitive absence. The cache is bounded by
   /// core::CorrectorParams::remote_cache_capacity entries per table: beyond
   /// it the oldest cached reply is evicted (FIFO). Entries placed in the
   /// reads tables by fetch_global_reads_tables are never evicted — eviction
   /// only ever costs a redundant remote lookup, never a wrong count.
-  void cache_remote_kmer(seq::kmer_id_t id, std::uint32_t count);
-  void cache_remote_tile(seq::tile_id_t id, std::uint32_t count);
+  void cache_remote(LookupKind kind, std::uint64_t id, std::uint32_t count);
 
   /// Serve-mode seam: evicts every add_remote-cached reply from the reads
   /// tables (the only correction-phase mutation of the spectrum), restoring
@@ -153,10 +159,7 @@ class DistSpectrum {
   /// starting a job.
   void reset_for_job();
 
-  bool owns_kmer(seq::kmer_id_t id) const {
-    return hash::owner_of(id, comm_->size()) == comm_->rank();
-  }
-  bool owns_tile(seq::tile_id_t id) const {
+  bool owns(std::uint64_t id) const {
     return hash::owner_of(id, comm_->size()) == comm_->rank();
   }
 
@@ -168,80 +171,74 @@ class DistSpectrum {
 
   SpectrumFootprint footprint() const;
 
-  const hash::CountTable<>& hash_kmers() const noexcept { return hash_kmer_; }
-  const hash::CountTable<>& hash_tiles() const noexcept { return hash_tile_; }
+  const hash::CountTable<>& owned_table(LookupKind kind) const noexcept {
+    return tables(kind).owned;
+  }
 
  private:
-  /// Buckets a table's entries by owning rank for the alltoallv.
-  template <class Table>
-  std::vector<std::vector<IdCount>> bucket_by_owner(const Table& table) const;
+  /// The tables of one spectrum (k-mers or tiles).
+  struct Tables {
+    /// Entries this rank owns (the paper's hashKmer/hashTile).
+    hash::CountTable<> owned;
+    /// Non-owned entries staged since the last exchange (what the paper
+    /// calls readsKmer/readsTile during Step II); cleared by every exchange.
+    hash::CountTable<> pending;
+    /// Persistent reads table of the read-kmers heuristic (union of all
+    /// non-owned IDs of this rank's reads, later refreshed to global
+    /// counts), plus the add_remote-cached replies.
+    hash::CountTable<> reads;
+    /// Insertion order of add_remote-cached entries, for FIFO eviction once
+    /// remote_cache_capacity is reached. Holds only cached replies, never
+    /// the fetch_global_reads_tables base entries.
+    std::deque<std::uint64_t> remote_cache_order;
+    hash::CountTable<> replica;
+    /// Group table of the partial-replication mode: the merged owned shards
+    /// of this rank's replication group.
+    hash::CountTable<> group;
+    /// Bloom filter of the bloom_construction mode (owner-side singleton
+    /// suppression); sized lazily on first use, ledger-charged as filters.
+    std::unique_ptr<hash::OwnerFilter> bloom;
+    /// Peer membership filters of the filter_lookups mode, indexed by
+    /// owning rank; a null slot means "no filter — ask over the wire".
+    /// Written once by exchange_filters() on the rank main thread before
+    /// the worker and service threads start, read-only afterwards.
+    std::vector<std::unique_ptr<hash::OwnerFilter>> peer_filters;
+    /// Step II scratch: this kind's IDs of the read being added.
+    std::vector<std::uint64_t> scratch;
+
+    std::size_t memory_bytes() const;
+  };
+
+  Tables& tables(LookupKind kind) noexcept {
+    return tables_[static_cast<std::size_t>(kind)];
+  }
+  const Tables& tables(LookupKind kind) const noexcept {
+    return tables_[static_cast<std::size_t>(kind)];
+  }
+
+  /// The owned table's entries as Step III pairs.
+  static std::vector<IdCount> owned_entries(const Tables& t);
 
   /// One spectrum's exchange-and-merge round.
-  void exchange_one(hash::CountTable<>& pending_table,
-                    hash::CountTable<>& owned_table,
-                    std::unique_ptr<hash::OwnerFilter>& bloom);
+  void exchange_one(Tables& t);
 
   /// Owner-side insert; with bloom_construction, singletons are parked in
   /// the Bloom filter and admitted to the exact table on second sighting.
-  void owner_add(hash::CountTable<>& owned_table,
-                 std::unique_ptr<hash::OwnerFilter>& bloom, std::uint64_t id,
-                 std::uint32_t count);
+  void owner_add(Tables& t, std::uint64_t id, std::uint32_t count);
 
   /// One spectrum's global-count fetch (read-kmers heuristic).
-  void fetch_one(hash::CountTable<>& reads_table,
-                 const hash::CountTable<>& owned_table);
-
-  /// Shared bounded-insert path of cache_remote_kmer/tile.
-  void cache_into(hash::CountTable<>& table,
-                  std::deque<std::uint64_t>& order, std::uint64_t id,
-                  std::uint32_t count);
+  void fetch_one(Tables& t);
 
   core::CorrectorParams params_;
   Heuristics heur_;
   rtm::Comm* comm_;
   core::SpectrumExtractor extractor_;
-
-  hash::CountTable<> hash_kmer_;
-  hash::CountTable<> hash_tile_;
-  /// Non-owned entries staged since the last exchange (what the paper calls
-  /// readsKmer/readsTile during Step II); cleared by every exchange.
-  hash::CountTable<> pending_kmer_;
-  hash::CountTable<> pending_tile_;
-  /// Persistent reads tables of the read-kmers heuristic (union of all
-  /// non-owned IDs of this rank's reads, later refreshed to global counts).
-  hash::CountTable<> reads_kmer_;
-  hash::CountTable<> reads_tile_;
-  /// Insertion order of add_remote-cached entries, for FIFO eviction once
-  /// remote_cache_capacity is reached. Holds only cached replies, never the
-  /// fetch_global_reads_tables base entries.
-  std::deque<std::uint64_t> remote_cache_order_kmer_;
-  std::deque<std::uint64_t> remote_cache_order_tile_;
-  hash::CountTable<> replica_kmer_;
-  hash::CountTable<> replica_tile_;
-  /// Group tables of the partial-replication mode: the merged owned shards
-  /// of this rank's replication group.
-  hash::CountTable<> group_kmer_;
-  hash::CountTable<> group_tile_;
-  bool kmers_replicated_ = false;
-  bool tiles_replicated_ = false;
-  /// Bloom filters of the bloom_construction mode (owner-side singleton
-  /// suppression); sized lazily on first use, ledger-charged as filters.
-  std::unique_ptr<hash::OwnerFilter> bloom_kmer_;
-  std::unique_ptr<hash::OwnerFilter> bloom_tile_;
-  /// Peer membership filters of the filter_lookups mode, indexed by owning
-  /// rank; a null slot means "no filter — ask over the wire". Written once
-  /// by exchange_filters() on the rank main thread before the worker and
-  /// service threads start, read-only afterwards.
-  std::vector<std::unique_ptr<hash::OwnerFilter>> peer_filter_kmer_;
-  std::vector<std::unique_ptr<hash::OwnerFilter>> peer_filter_tile_;
+  /// Indexed by LookupKind.
+  std::array<Tables, 2> tables_;
   std::size_t filter_bytes_ = 0;
   /// Makes exchange_filters() one-shot: the filters are rank-lifetime, and
   /// a resident server calls prepare_correction once per job.
   bool filters_exchanged_ = false;
-
-  // Scratch buffers reused across add_read calls.
-  std::vector<seq::kmer_id_t> kmer_scratch_;
-  std::vector<seq::tile_id_t> tile_scratch_;
 };
 
 }  // namespace reptile::parallel

@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "parallel/protocol.hpp"
+
 namespace reptile::parallel {
 
 struct Heuristics {
@@ -87,6 +89,11 @@ struct Heuristics {
   /// of sub-threshold counts for memory; above-threshold behaviour is
   /// statistically unchanged but not bit-identical to the exact mode.
   bool bloom_construction = false;
+
+  /// True when the spectrum of `kind` is replicated on every rank.
+  bool allgather(LookupKind kind) const noexcept {
+    return kind == LookupKind::kKmer ? allgather_kmers : allgather_tiles;
+  }
 
   /// True when both spectra are replicated ("allgather both"): the
   /// correction phase then needs no communication at all.

@@ -32,15 +32,9 @@ void LookupService::reply(int requester, LookupKind kind, std::uint64_t id,
                                    obs::flow_id(requester, reply_to, seq));
   LookupReply r;
   r.seq = seq;
-  if (kind == LookupKind::kKmer) {
-    const auto c = spectrum_->owned_kmer(id);
-    r.count = c ? static_cast<std::int32_t>(*c) : -1;
-    ++stats_.kmer_requests;
-  } else {
-    const auto c = spectrum_->owned_tile(id);
-    r.count = c ? static_cast<std::int32_t>(*c) : -1;
-    ++stats_.tile_requests;
-  }
+  const auto c = spectrum_->owned(kind, id);
+  r.count = c ? static_cast<std::int32_t>(*c) : -1;
+  ++(kind == LookupKind::kKmer ? stats_.kmer_requests : stats_.tile_requests);
   if (r.count < 0) ++stats_.absent_replies;
   comm_->send_value(requester, reply_to, r);
   ++stats_.requests_served;
@@ -66,8 +60,7 @@ void LookupService::reply_batch(const rtm::Message& msg) {
   std::byte* counts = batch_reply_counts_at(payload.data());
   for (std::size_t i = 0; i < req.count; ++i) {
     const std::uint64_t id = req.id(i);
-    const auto c = req.kind == LookupKind::kKmer ? spectrum_->owned_kmer(id)
-                                                 : spectrum_->owned_tile(id);
+    const auto c = spectrum_->owned(req.kind, id);
     const std::int32_t count = c ? static_cast<std::int32_t>(*c) : -1;
     std::memcpy(counts + i * sizeof(count), &count, sizeof(count));
     if (!c) ++stats_.absent_replies;

@@ -38,8 +38,14 @@ enum Tag : int {
   kTagTileReply = 22,
 };
 
-/// Request kinds carried inside universal-mode payloads.
+/// Request kinds carried inside universal-mode payloads; also the index of
+/// a kind's tables in DistSpectrum.
 enum class LookupKind : std::uint32_t { kKmer = 0, kTile = 1 };
+
+/// Both kinds, k-mers first: the order of every per-kind loop (Step III
+/// exchanges, filter exchange, wavefront requests).
+inline constexpr LookupKind kLookupKinds[] = {LookupKind::kKmer,
+                                              LookupKind::kTile};
 
 /// Non-universal request payload: the ID (the kind is the tag) plus the
 /// tag the reply must carry. Multiple correction worker threads on one

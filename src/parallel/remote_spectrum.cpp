@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "hash/hashing.hpp"
 #include "obs/trace.hpp"
@@ -82,37 +81,28 @@ obs::Histogram* RemoteSpectrumView::latency_histogram(const char* name,
 
 RemoteSpectrumView::Resolution RemoteSpectrumView::resolve(
     std::uint64_t id, LookupKind kind) const {
-  const bool is_kmer = kind == LookupKind::kKmer;
   Resolution r;
-  if (is_kmer ? heur_.allgather_kmers : heur_.allgather_tiles) {
-    r.count = (is_kmer ? spectrum_->replica_kmer(id)
-                       : spectrum_->replica_tile(id))
-                  .value_or(0);
+  if (heur_.allgather(kind)) {
+    r.count = spectrum_->replica(kind, id).value_or(0);
     return r;
   }
 
   r.owner = hash::owner_of(id, comm_->size());
   if (r.owner == comm_->rank()) {
     // We are the owner: a miss in our shard is a definitive global absence.
-    r.count = (is_kmer ? spectrum_->owned_kmer(id)
-                       : spectrum_->owned_tile(id))
-                  .value_or(0);
+    r.count = spectrum_->owned(kind, id).value_or(0);
     return r;
   }
 
   if (spectrum_->owner_in_my_group(r.owner)) {
     // Partial replication: we hold the owner's shard; a miss is definitive.
     r.link = Link::kGroup;
-    r.count = (is_kmer ? spectrum_->group_kmer(id)
-                       : spectrum_->group_tile(id))
-                  .value_or(0);
+    r.count = spectrum_->group(kind, id).value_or(0);
     return r;
   }
 
   if (heur_.read_kmers) {
-    const auto c = is_kmer ? spectrum_->reads_kmer(id)
-                           : spectrum_->reads_tile(id);
-    if (c) {
+    if (const auto c = spectrum_->reads(kind, id)) {
       r.link = Link::kReadsTable;
       r.count = *c;
       return r;
@@ -123,8 +113,7 @@ RemoteSpectrumView::Resolution RemoteSpectrumView::resolve(
     // The owner's exchanged membership filter. "Definitely absent" is
     // exact: the owner's pruned shard cannot contain the ID, so the wire
     // reply would be -1 and the count 0 — answer locally.
-    const auto fa = is_kmer ? spectrum_->filter_kmer(id, r.owner)
-                            : spectrum_->filter_tile(id, r.owner);
+    const auto fa = spectrum_->filter(kind, id, r.owner);
     if (fa == DistSpectrum::FilterAnswer::kDefinitelyAbsent) {
       r.link = Link::kFilter;
       return r;
@@ -143,6 +132,43 @@ RemoteSpectrumView::Resolution RemoteSpectrumView::resolve(
   }
   r.link = Link::kRemote;
   return r;
+}
+
+template <class Resend, class Accept>
+bool RemoteSpectrumView::await_reply(int owner, int tag,
+                                     std::uint64_t& retries,
+                                     const Resend& resend,
+                                     const Accept& accept) {
+  if (!retry_.enabled()) {
+    while (!accept(comm_->recv(owner, tag))) {
+    }
+    return true;
+  }
+  rtm::check::RunChecker* check = comm_->world().checker();
+  for (int attempt = 0;; ++attempt) {
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::microseconds(retry_.attempt_timeout_us(attempt));
+    for (auto now = std::chrono::steady_clock::now(); now < deadline;
+         now = std::chrono::steady_clock::now()) {
+      const auto msg = comm_->recv_match_for(
+          [&](const rtm::Message& m) {
+            return m.source == owner && m.tag == tag;
+          },
+          deadline - now);
+      if (msg) {
+        if (accept(*msg)) return true;
+      } else if (check != nullptr && check->aborted()) {
+        comm_wait_.stop();
+        check->throw_abort();
+      }
+      // Otherwise the deadline passed or the wake was spurious.
+    }
+    ++remote_.lookup_timeouts;
+    if (attempt >= retry_.max_retries) return false;
+    ++retries;
+    resend();  // idempotent: every attempt carries the same seq
+  }
 }
 
 void RemoteSpectrumView::enqueue(const Resolution& r, std::uint64_t id,
@@ -278,7 +304,7 @@ bool RemoteSpectrumView::exchange_round() {
         obs::flow_id(comm_->rank(), batch_reply_tag(p.kind, worker_slot_),
                      p.seq));
   };
-  for (const LookupKind kind : {LookupKind::kKmer, LookupKind::kTile}) {
+  for (const LookupKind kind : kLookupKinds) {
     for (int owner = 0; owner < np; ++owner) {
       const auto& ids = bucket(owner, kind);
       if (ids.empty()) continue;
@@ -296,10 +322,8 @@ bool RemoteSpectrumView::exchange_round() {
   span.arg("ids", total);
 
   bool abandoned = false;
-  rtm::check::RunChecker* check = comm_->world().checker();
   comm_wait_.start();
   for (const Pending& p : pending) {
-    const int tag = batch_reply_tag(p.kind, worker_slot_);
     // Validates and consumes one candidate reply; false = not ours (stale
     // retransmission leftovers, malformed bytes), keep waiting.
     const auto consume = [&](const rtm::Message& msg) {
@@ -330,58 +354,22 @@ bool RemoteSpectrumView::exchange_round() {
           // Every batched ID the filter let through that the owner reports
           // absent was a wasted wire slot: a filter false positive. (IDs
           // with no usable filter don't count — there was nothing to ask.)
-          const auto fa = p.kind == LookupKind::kKmer
-                              ? spectrum_->filter_kmer(id, p.owner)
-                              : spectrum_->filter_tile(id, p.owner);
-          if (fa == DistSpectrum::FilterAnswer::kMaybePresent) {
+          if (spectrum_->filter(p.kind, id, p.owner) ==
+              DistSpectrum::FilterAnswer::kMaybePresent) {
             ++remote_.filter_false_positives;
           }
         }
       }
       return true;
     };
-
-    if (!retry_.enabled()) {
-      while (!consume(comm_->recv(p.owner, tag))) {
-      }
-      continue;
-    }
-    bool got = false;
-    for (int attempt = 0; !got; ++attempt) {
-      if (attempt > 0) {
-        ++remote_.batch_retries;
-        send_batch(p);
-      }
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(retry_.attempt_timeout_us(attempt));
-      while (!got) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) break;
-        const auto msg = comm_->recv_match_for(
-            [&](const rtm::Message& m) {
-              return m.source == p.owner && m.tag == tag;
-            },
-            deadline - now);
-        if (!msg) {
-          if (check != nullptr && check->aborted()) {
-            comm_wait_.stop();
-            check->throw_abort();
-          }
-          continue;  // either the deadline passed or a spurious wake
-        }
-        got = consume(*msg);
-      }
-      if (got) break;
-      ++remote_.lookup_timeouts;
-      if (attempt >= retry_.max_retries) {
-        // Abandon this batch: its IDs stay out of the cache, the wavefront
-        // ends after this round, and the corrector's lookups of them take
-        // the (individually retried) scalar path.
-        ++remote_.batch_abandoned;
-        abandoned = true;
-        break;
-      }
+    if (!await_reply(p.owner, batch_reply_tag(p.kind, worker_slot_),
+                     remote_.batch_retries, [&] { send_batch(p); },
+                     consume)) {
+      // Abandon this batch: its IDs stay out of the cache, the wavefront
+      // ends after this round, and the corrector's lookups of them take the
+      // (individually retried) scalar path.
+      ++remote_.batch_abandoned;
+      abandoned = true;
     }
   }
   comm_wait_.stop();
@@ -420,73 +408,39 @@ std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
           kind == LookupKind::kKmer ? kTagKmerRequest : kTagTileRequest, req);
     }
   };
-  // Validates one candidate reply; nullopt = not ours (duplicate or stale
+  // Validates one candidate reply; false = not ours (duplicate or stale
   // retransmission leftovers, truncated bytes), keep waiting. Runs even
   // with retries disabled: a chaos-duplicated reply must never be read as
   // the answer to the NEXT lookup on this tag.
-  const auto consume =
-      [&](const rtm::Message& msg) -> std::optional<LookupReply> {
+  LookupReply reply;
+  const auto consume = [&](const rtm::Message& msg) {
     if (msg.payload.size() != sizeof(LookupReply)) {
       ++remote_.malformed_replies;
-      return std::nullopt;
+      return false;
     }
-    const auto r = msg.as_value<LookupReply>();
-    if (r.seq != seq) {
+    reply = msg.as_value<LookupReply>();
+    if (reply.seq != seq) {
       ++remote_.stale_replies_suppressed;
-      return std::nullopt;
+      return false;
     }
-    return r;
+    return true;
   };
 
   comm_wait_.start();
-  std::optional<LookupReply> reply;
-  if (!retry_.enabled()) {
-    send_request();
-    while (!reply) reply = consume(comm_->recv(owner, reply_to));
-  } else {
-    rtm::check::RunChecker* check = comm_->world().checker();
-    for (int attempt = 0; !reply; ++attempt) {
-      if (attempt > 0) ++remote_.lookup_retries;
-      send_request();  // idempotent: every attempt carries the same seq
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(retry_.attempt_timeout_us(attempt));
-      while (!reply) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) break;
-        const auto msg = comm_->recv_match_for(
-            [&](const rtm::Message& m) {
-              return m.source == owner && m.tag == reply_to;
-            },
-            deadline - now);
-        if (!msg) {
-          if (check != nullptr && check->aborted()) {
-            comm_wait_.stop();
-            check->throw_abort();
-          }
-          continue;  // either the deadline passed or a spurious wake
-        }
-        reply = consume(*msg);
-      }
-      if (reply) break;
-      ++remote_.lookup_timeouts;
-      if (attempt >= retry_.max_retries) {
-        // Graceful degradation: give up on this ID and report a
-        // conservative 0 WITHOUT caching it anywhere. The bump of
-        // degraded_lookups() tells the corrector the evidence is
-        // incomplete, so it skips the position instead of acting on it.
-        comm_wait_.stop();
-        if (kind == LookupKind::kKmer) {
-          ++remote_.remote_kmer_lookups;
-        } else {
-          ++remote_.remote_tile_lookups;
-        }
-        ++remote_.degraded_lookups;
-        return 0;
-      }
-    }
-  }
+  send_request();
+  const bool answered = await_reply(owner, reply_to, remote_.lookup_retries,
+                                    send_request, consume);
   comm_wait_.stop();
+  const bool is_kmer = kind == LookupKind::kKmer;
+  ++(is_kmer ? remote_.remote_kmer_lookups : remote_.remote_tile_lookups);
+  if (!answered) {
+    // Graceful degradation: give up on this ID and report a conservative 0
+    // WITHOUT caching it anywhere. The bump of degraded_lookups() tells the
+    // corrector the evidence is incomplete, so it skips the position
+    // instead of acting on it.
+    ++remote_.degraded_lookups;
+    return 0;
+  }
   if (obs::Histogram* h = latency_histogram("reptile_lookup_rtt_us",
                                             rtt_hist_, rtt_hist_resolved_)) {
     h->record(static_cast<std::uint64_t>(
@@ -494,21 +448,14 @@ std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
             obs::Tracer::instance().now_ns() - rtt_start, 0) /
         1000));
   }
-
-  if (kind == LookupKind::kKmer) {
-    ++remote_.remote_kmer_lookups;
-    if (reply->count < 0) ++remote_.remote_kmer_absent;
-  } else {
-    ++remote_.remote_tile_lookups;
-    if (reply->count < 0) ++remote_.remote_tile_absent;
-  }
-  if (filter_said_maybe && reply->count < 0) {
+  if (reply.count < 0) {
+    ++(is_kmer ? remote_.remote_kmer_absent : remote_.remote_tile_absent);
     // The peer filter let this ID through and the owner reports it absent:
     // a false positive — the round trip the filter exists to avoid.
-    ++remote_.filter_false_positives;
+    if (filter_said_maybe) ++remote_.filter_false_positives;
   }
   const std::uint32_t count =
-      reply->count < 0 ? 0 : static_cast<std::uint32_t>(reply->count);
+      reply.count < 0 ? 0 : static_cast<std::uint32_t>(reply.count);
   if (heur_.add_remote) {
     // Cache the reply — absences included — so a future lookup of the same
     // ID stays local ("this mode will be useful if the k-mers or tiles
@@ -517,10 +464,8 @@ std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
     // reply lands in this worker's chunk-local cache instead.
     if (cache_remote_locally_) {
       cache_local(id, kind, count);
-    } else if (kind == LookupKind::kKmer) {
-      spectrum_->cache_remote_kmer(id, count);
     } else {
-      spectrum_->cache_remote_tile(id, count);
+      spectrum_->cache_remote(kind, id, count);
     }
   }
   return count;

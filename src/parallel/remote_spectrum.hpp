@@ -10,26 +10,37 @@
 // mode of execution). If the k-mer is not found, it sends a message to the
 // owning rank, requesting the count."
 //
-// Chain, in order (first hit wins):
-//   1. replicated table        (allgather_* heuristics; never remote)
-//   2. owned table             (when this rank is the owner — a miss here is
-//                               a definitive global absence)
-//   3. group table             (partial replication, the paper's Section V
-//                               future work: definitive for owners inside
-//                               this rank's replication group)
-//   4. reads table             (read_kmers heuristic; holds global counts)
-//   5. peer filter             (filter_lookups extension: the owner's
-//                               exchanged membership filter; "definitely
-//                               absent" is exact — the owner would reply -1
-//                               — and answers locally; "maybe" falls
-//                               through and pays the wire)
+// Chain, in order (first hit wins). K-mers and tiles walk the same chain;
+// each link is one DistSpectrum accessor that takes the LookupKind:
+//   1. replicated table        replica(kind, id) (allgather_* heuristics;
+//                               never remote)
+//   2. owned table             owned(kind, id), when this rank is the owner
+//                               — a miss here is a definitive global absence
+//   3. group table             group(kind, id) (partial replication, the
+//                               paper's Section V future work: definitive
+//                               for owners inside this rank's replication
+//                               group)
+//   4. reads table             reads(kind, id) (read_kmers heuristic; holds
+//                               global counts)
+//   5. peer filter             filter(kind, id, owner) (filter_lookups
+//                               extension: the owner's exchanged membership
+//                               filter, keyed by hash::owned_set_key;
+//                               "definitely absent" is exact — the owner
+//                               would reply -1 — and answers locally;
+//                               "maybe" falls through and pays the wire)
 //   6. chunk cache             (batch_lookups: counts of the chunk being
 //                               corrected, fetched ahead of correction by
 //                               the chunk wavefront; counts here are
 //                               verbatim remote replies, so hits are exact)
 //   7. remote request/reply    (blocking; reply -1 maps to count 0);
-//      with add_remote the reply is cached into the reads table (shared,
-//      single worker) or this worker's chunk cache (multi-worker).
+//      with add_remote the reply is cached into the reads table
+//      (cache_remote(kind, id, count); shared, single worker) or this
+//      worker's chunk cache (multi-worker).
+//
+// The scalar round trip and each wavefront batch wait for their reply in
+// one loop (await_reply): per-attempt deadline, stale/malformed reply
+// suppression, resend under the same seq, and abandonment after
+// RetryPolicy::max_retries (DESIGN.md §4d).
 //
 // The chunk wavefront (prefetch_chunk) resolves a chunk's remote lookups
 // in rounds before the chunk is corrected. Round 0 fetches every remote
@@ -152,6 +163,17 @@ class RemoteSpectrumView final : public core::SpectrumView {
     return buckets_[static_cast<std::size_t>(
         (kind == LookupKind::kKmer ? 0 : comm_->size()) + owner)];
   }
+
+  /// Waits for the reply to a request already sent to `owner` on reply
+  /// `tag`: `accept` validates each candidate message (false = not ours,
+  /// keep waiting). With retries armed, each expired attempt counts a
+  /// lookup_timeouts and, while the retry budget lasts, bumps `retries` and
+  /// calls `resend`. Returns false when the call is abandoned after
+  /// max_retries; with retries disabled it blocks until accepted. Call
+  /// inside a comm_wait_ interval: a checker abort stops it and rethrows.
+  template <class Resend, class Accept>
+  bool await_reply(int owner, int tag, std::uint64_t& retries,
+                   const Resend& resend, const Accept& accept);
 
   /// Queues a remote-needing ID for the next round.
   void enqueue(const Resolution& r, std::uint64_t id, LookupKind kind);

@@ -84,14 +84,6 @@ inline void decode_reads(const std::vector<std::uint8_t>& buffer,
   decode_reads(buffer.data(), buffer.size(), out);
 }
 
-/// Decoded form of a vectored lookup request.
-struct BatchLookupRequest {
-  LookupKind kind = LookupKind::kKmer;
-  std::int32_t reply_to = 0;
-  std::uint64_t seq = 0;
-  std::vector<std::uint64_t> ids;
-};
-
 /// Wire size of a batched request carrying `count` IDs.
 inline std::size_t batch_request_bytes(std::size_t count) {
   return sizeof(BatchLookupHeader) + count * 8;
@@ -113,17 +105,6 @@ inline void encode_batch_request_into(std::byte* out, LookupKind kind,
   if (!ids.empty()) {
     std::memcpy(out + sizeof(h), ids.data(), ids.size_bytes());
   }
-}
-
-/// Appends the wire encoding of one batched request to `out`.
-inline void encode_batch_request(LookupKind kind, int reply_to,
-                                 std::span<const std::uint64_t> ids,
-                                 std::vector<std::uint8_t>& out,
-                                 std::uint64_t seq = 0) {
-  const std::size_t start = out.size();
-  out.resize(start + batch_request_bytes(ids.size()));
-  encode_batch_request_into(reinterpret_cast<std::byte*>(out.data() + start),
-                            kind, reply_to, ids, seq);
 }
 
 /// A validated batched request read in place: the header fields, and the
@@ -150,14 +131,14 @@ inline BatchRequestView view_batch_request(const std::uint8_t* data,
                                            std::size_t size) {
   BatchLookupHeader h;
   if (size < sizeof(h)) {
-    throw std::runtime_error("decode_batch_request: truncated header");
+    throw std::runtime_error("view_batch_request: truncated header");
   }
   std::memcpy(&h, data, sizeof(h));
   if (h.kind > static_cast<std::uint32_t>(LookupKind::kTile)) {
-    throw std::runtime_error("decode_batch_request: unknown lookup kind");
+    throw std::runtime_error("view_batch_request: unknown lookup kind");
   }
   if (size - sizeof(h) != static_cast<std::size_t>(h.count) * 8) {
-    throw std::runtime_error("decode_batch_request: body/count mismatch");
+    throw std::runtime_error("view_batch_request: body/count mismatch");
   }
   return {static_cast<LookupKind>(h.kind), h.reply_to, h.seq, h.count,
           data + sizeof(h)};
@@ -168,34 +149,6 @@ inline BatchRequestView view_batch_request(
   return view_batch_request(
       reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size());
 }
-
-/// Decodes one batched request into an owned ID vector (see
-/// view_batch_request for the checks).
-inline BatchLookupRequest decode_batch_request(const std::uint8_t* data,
-                                               std::size_t size) {
-  const BatchRequestView v = view_batch_request(data, size);
-  BatchLookupRequest req;
-  req.kind = v.kind;
-  req.reply_to = v.reply_to;
-  req.seq = v.seq;
-  req.ids.resize(v.count);
-  if (v.count != 0) {
-    std::memcpy(req.ids.data(), v.ids, static_cast<std::size_t>(v.count) * 8);
-  }
-  return req;
-}
-
-inline BatchLookupRequest decode_batch_request(
-    std::span<const std::byte> payload) {
-  return decode_batch_request(
-      reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size());
-}
-
-/// Decoded form of a framed batch reply.
-struct BatchLookupReply {
-  std::uint64_t seq = 0;
-  std::vector<std::int32_t> counts;
-};
 
 /// Wire size of a batched reply carrying `count` counts.
 inline std::size_t batch_reply_bytes(std::size_t count) {
@@ -220,20 +173,6 @@ inline std::byte* batch_reply_counts_at(std::byte* out) {
   return out + sizeof(BatchReplyHeader);
 }
 
-/// Appends the wire encoding of one batched reply to `out`.
-inline void encode_batch_reply(std::uint64_t seq,
-                               std::span<const std::int32_t> counts,
-                               std::vector<std::uint8_t>& out) {
-  const std::size_t start = out.size();
-  out.resize(start + batch_reply_bytes(counts.size()));
-  auto* p = reinterpret_cast<std::byte*>(out.data() + start);
-  encode_batch_reply_header_into(p, seq,
-                                 static_cast<std::uint32_t>(counts.size()));
-  if (!counts.empty()) {
-    std::memcpy(batch_reply_counts_at(p), counts.data(), counts.size_bytes());
-  }
-}
-
 /// A validated batched reply read in place: the echoed sequence number,
 /// and the i32 counts left in the message buffer.
 struct BatchReplyView {
@@ -255,37 +194,17 @@ inline BatchReplyView view_batch_reply(const std::uint8_t* data,
                                        std::size_t size) {
   BatchReplyHeader h;
   if (size < sizeof(h)) {
-    throw std::runtime_error("decode_batch_reply: truncated header");
+    throw std::runtime_error("view_batch_reply: truncated header");
   }
   std::memcpy(&h, data, sizeof(h));
   if (size - sizeof(h) != static_cast<std::size_t>(h.count) * 4) {
-    throw std::runtime_error("decode_batch_reply: body/count mismatch");
+    throw std::runtime_error("view_batch_reply: body/count mismatch");
   }
   return {h.seq, h.count, data + sizeof(h)};
 }
 
 inline BatchReplyView view_batch_reply(std::span<const std::byte> payload) {
   return view_batch_reply(
-      reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size());
-}
-
-/// Decodes one batched reply into an owned count vector (see
-/// view_batch_reply for the checks).
-inline BatchLookupReply decode_batch_reply(const std::uint8_t* data,
-                                           std::size_t size) {
-  const BatchReplyView v = view_batch_reply(data, size);
-  BatchLookupReply reply;
-  reply.seq = v.seq;
-  reply.counts.resize(v.count);
-  if (v.count != 0) {
-    std::memcpy(reply.counts.data(), v.counts,
-                static_cast<std::size_t>(v.count) * 4);
-  }
-  return reply;
-}
-
-inline BatchLookupReply decode_batch_reply(std::span<const std::byte> payload) {
-  return decode_batch_reply(
       reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size());
 }
 
@@ -312,16 +231,6 @@ inline void encode_filter_exchange_into(std::byte* out, LookupKind kind,
   filter.serialize_into(out + sizeof(h));
 }
 
-/// Appends the wire encoding of one filter-exchange message to `out`.
-inline void encode_filter_exchange(LookupKind kind,
-                                   const hash::OwnerFilter& filter,
-                                   std::vector<std::uint8_t>& out) {
-  const std::size_t start = out.size();
-  out.resize(start + filter_exchange_bytes(filter));
-  encode_filter_exchange_into(reinterpret_cast<std::byte*>(out.data() + start),
-                              kind, filter);
-}
-
 /// Decodes one filter-exchange message. Throws on a truncated or over-long
 /// buffer and on an unknown kind — receivers drop malformed filters and
 /// keep the unfiltered wire path for that owner (never trust garbage bits:
@@ -338,12 +247,6 @@ inline FilterExchange decode_filter_exchange(std::span<const std::byte> payload)
   return FilterExchange{
       static_cast<LookupKind>(h.kind),
       hash::OwnerFilter::deserialize(payload.subspan(sizeof(h)))};
-}
-
-inline FilterExchange decode_filter_exchange(const std::uint8_t* data,
-                                             std::size_t size) {
-  return decode_filter_exchange(
-      std::span<const std::byte>(reinterpret_cast<const std::byte*>(data), size));
 }
 
 }  // namespace reptile::parallel

@@ -14,8 +14,9 @@ void DistSpectrumModel::finalize_construction() {
   } else {
     spectrum_.drop_reads_tables();
   }
-  if (spectrum_.heuristics().allgather_kmers) spectrum_.replicate_kmers();
-  if (spectrum_.heuristics().allgather_tiles) spectrum_.replicate_tiles();
+  for (const parallel::LookupKind kind : parallel::kLookupKinds) {
+    if (spectrum_.heuristics().allgather(kind)) spectrum_.replicate(kind);
+  }
   spectrum_.replicate_group();  // no-op unless partial replication is on
   comm_->barrier();
 }

@@ -60,50 +60,56 @@ void expect_identical_to_sequential(const DistResult& result) {
 
 // ---- wire format -----------------------------------------------------------
 
+/// Encodes one batch request into a buffer of exactly its wire size.
+std::vector<std::byte> encode_request(LookupKind kind, int reply_to,
+                                      const std::vector<std::uint64_t>& ids) {
+  std::vector<std::byte> buf(batch_request_bytes(ids.size()));
+  encode_batch_request_into(
+      buf.data(), kind, reply_to,
+      std::span<const std::uint64_t>(ids.data(), ids.size()));
+  return buf;
+}
+
+std::span<const std::byte> prefix(const std::vector<std::byte>& buf,
+                                  std::size_t len) {
+  return std::span<const std::byte>(buf.data(), len);
+}
+
 TEST(BatchWire, RoundTripsIdsAndHeader) {
   const std::vector<std::uint64_t> ids = {0, 1, 42, ~std::uint64_t{0},
                                           0xdeadbeefcafe1234ull};
-  std::vector<std::uint8_t> buf;
-  encode_batch_request(LookupKind::kTile, 1027,
-                       std::span<const std::uint64_t>(ids.data(), ids.size()),
-                       buf);
+  const auto buf = encode_request(LookupKind::kTile, 1027, ids);
   EXPECT_EQ(buf.size(), sizeof(BatchLookupHeader) + ids.size() * 8);
-  const BatchLookupRequest req = decode_batch_request(buf.data(), buf.size());
+  const BatchRequestView req = view_batch_request(buf);
   EXPECT_EQ(req.kind, LookupKind::kTile);
   EXPECT_EQ(req.reply_to, 1027);
-  EXPECT_EQ(req.ids, ids);
+  ASSERT_EQ(req.count, ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(req.id(i), ids[i]);
 }
 
 TEST(BatchWire, RoundTripsEmptyRequest) {
-  std::vector<std::uint8_t> buf;
-  encode_batch_request(LookupKind::kKmer, kTagBatchReplyBase, {}, buf);
+  const auto buf = encode_request(LookupKind::kKmer, kTagBatchReplyBase, {});
   EXPECT_EQ(buf.size(), sizeof(BatchLookupHeader));
-  const BatchLookupRequest req = decode_batch_request(buf.data(), buf.size());
+  const BatchRequestView req = view_batch_request(buf);
   EXPECT_EQ(req.kind, LookupKind::kKmer);
-  EXPECT_TRUE(req.ids.empty());
+  EXPECT_EQ(req.count, 0u);
 }
 
 TEST(BatchWire, RejectsMalformedBuffers) {
-  std::vector<std::uint8_t> buf;
-  const std::vector<std::uint64_t> ids = {1, 2, 3};
-  encode_batch_request(LookupKind::kKmer, kTagBatchReplyBase,
-                       std::span<const std::uint64_t>(ids.data(), ids.size()),
-                       buf);
+  auto buf = encode_request(LookupKind::kKmer, kTagBatchReplyBase, {1, 2, 3});
   // Truncated header.
-  EXPECT_THROW(decode_batch_request(buf.data(), sizeof(BatchLookupHeader) - 1),
+  EXPECT_THROW(view_batch_request(prefix(buf, sizeof(BatchLookupHeader) - 1)),
                std::runtime_error);
   // Body shorter than the header's count promises.
-  EXPECT_THROW(decode_batch_request(buf.data(), buf.size() - 8),
+  EXPECT_THROW(view_batch_request(prefix(buf, buf.size() - 8)),
                std::runtime_error);
   // Trailing garbage beyond count * 8.
-  buf.push_back(0);
-  EXPECT_THROW(decode_batch_request(buf.data(), buf.size()),
-               std::runtime_error);
+  buf.push_back(std::byte{0});
+  EXPECT_THROW(view_batch_request(buf), std::runtime_error);
   buf.pop_back();
   // Unknown kind.
-  buf[0] = 7;
-  EXPECT_THROW(decode_batch_request(buf.data(), buf.size()),
-               std::runtime_error);
+  buf[0] = std::byte{7};
+  EXPECT_THROW(view_batch_request(buf), std::runtime_error);
 }
 
 // ---- service protocol ------------------------------------------------------
@@ -129,7 +135,8 @@ TEST(BatchProtocol, ServiceAnswersVectoredRequest) {
     std::uint64_t probe_id = 0;
     std::uint32_t probe_count = 0;
     if (comm.rank() == 0) {
-      spectrum.hash_kmers().for_each([&](std::uint64_t id, std::uint32_t c) {
+      spectrum.owned_table(LookupKind::kKmer)
+          .for_each([&](std::uint64_t id, std::uint32_t c) {
         if (probe_count == 0) {
           probe_id = id;
           probe_count = c;
@@ -152,19 +159,18 @@ TEST(BatchProtocol, ServiceAnswersVectoredRequest) {
       stats = service.stats();
     } else {
       const std::vector<std::uint64_t> ids = {probe_id, ~std::uint64_t{0}};
-      std::vector<std::uint8_t> buf;
       const int reply_to = batch_reply_tag(LookupKind::kKmer, 0);
-      encode_batch_request(
-          LookupKind::kKmer, reply_to,
-          std::span<const std::uint64_t>(ids.data(), ids.size()), buf);
-      comm.send<std::uint8_t>(
-          0, kTagBatchRequest,
-          std::span<const std::uint8_t>(buf.data(), buf.size()));
-      const auto reply = decode_batch_reply(comm.recv(0, reply_to).payload);
+      rtm::Payload payload = comm.make_payload(batch_request_bytes(ids.size()));
+      encode_batch_request_into(
+          payload.data(), LookupKind::kKmer, reply_to,
+          std::span<const std::uint64_t>(ids.data(), ids.size()));
+      comm.send_payload(0, kTagBatchRequest, std::move(payload));
+      const rtm::Message msg = comm.recv(0, reply_to);
+      const BatchReplyView reply = view_batch_reply(msg.payload);
       EXPECT_EQ(reply.seq, 0u);  // unsequenced request echoes seq 0
-      ASSERT_EQ(reply.counts.size(), 2u);
-      EXPECT_EQ(reply.counts[0], static_cast<std::int32_t>(probe_count));
-      EXPECT_EQ(reply.counts[1], -1);  // absent IDs reply -1, index-aligned
+      ASSERT_EQ(reply.count, 2u);
+      EXPECT_EQ(reply.count_at(0), static_cast<std::int32_t>(probe_count));
+      EXPECT_EQ(reply.count_at(1), -1);  // absent IDs reply -1, index-aligned
       comm.signal_done();
     }
     comm.barrier();
@@ -487,7 +493,12 @@ TEST(BatchedLookups, FewerMessagesAndLargerPayloadsThanScalar) {
 
 // ---- bounded caches --------------------------------------------------------
 
-TEST(RemoteCache, EvictsOldestBeyondCapacity) {
+class RemoteCache : public ::testing::TestWithParam<LookupKind> {};
+
+TEST_P(RemoteCache, EvictsOldestBeyondCapacityAndResetsPerJob) {
+  const LookupKind kind = GetParam();
+  const LookupKind other =
+      kind == LookupKind::kKmer ? LookupKind::kTile : LookupKind::kKmer;
   core::CorrectorParams p = test_params();
   p.remote_cache_capacity = 4;
   rtm::run_world({1, 1}, [&](rtm::Comm& comm) {
@@ -496,25 +507,43 @@ TEST(RemoteCache, EvictsOldestBeyondCapacity) {
     h.add_remote = true;
     DistSpectrum spectrum(p, h, comm);
     for (std::uint64_t id = 0; id < 10; ++id) {
-      spectrum.cache_remote_kmer(id, static_cast<std::uint32_t>(id + 1));
+      spectrum.cache_remote(kind, id, static_cast<std::uint32_t>(id + 1));
     }
     // FIFO: only the 4 newest replies survive.
     for (std::uint64_t id = 0; id < 6; ++id) {
-      EXPECT_FALSE(spectrum.reads_kmer(id).has_value()) << "id " << id;
+      EXPECT_FALSE(spectrum.reads(kind, id).has_value()) << "id " << id;
     }
     for (std::uint64_t id = 6; id < 10; ++id) {
-      const auto c = spectrum.reads_kmer(id);
+      const auto c = spectrum.reads(kind, id);
       ASSERT_TRUE(c.has_value()) << "id " << id;
       EXPECT_EQ(*c, static_cast<std::uint32_t>(id + 1));
+      // The other kind's table is a different spectrum.
+      EXPECT_FALSE(spectrum.reads(other, id).has_value()) << "id " << id;
     }
     // Re-caching an evicted ID readmits it (and evicts the then-oldest).
-    spectrum.cache_remote_kmer(0, 1);
-    EXPECT_TRUE(spectrum.reads_kmer(0).has_value());
-    EXPECT_FALSE(spectrum.reads_kmer(6).has_value());
+    spectrum.cache_remote(kind, 0, 1);
+    EXPECT_TRUE(spectrum.reads(kind, 0).has_value());
+    EXPECT_FALSE(spectrum.reads(kind, 6).has_value());
+    // A new job starts from the end-of-construction reads tables: every
+    // cached reply is evicted, and the cache refills from empty.
+    spectrum.reset_for_job();
+    for (std::uint64_t id = 0; id < 10; ++id) {
+      EXPECT_FALSE(spectrum.reads(kind, id).has_value()) << "id " << id;
+    }
+    spectrum.cache_remote(kind, 3, 7);
+    EXPECT_EQ(spectrum.reads(kind, 3), 7u);
   });
 }
 
-TEST(RemoteCache, CapacityOneIsLegalAndIdentical) {
+INSTANTIATE_TEST_SUITE_P(Kinds, RemoteCache,
+                         ::testing::Values(LookupKind::kKmer,
+                                           LookupKind::kTile),
+                         [](const ::testing::TestParamInfo<LookupKind>& info) {
+                           return info.param == LookupKind::kKmer ? "kmer"
+                                                                  : "tile";
+                         });
+
+TEST(RemoteCacheConfig, CapacityOneIsLegalAndIdentical) {
   DistConfig config;
   config.params = test_params();
   config.params.remote_cache_capacity = 1;
@@ -525,7 +554,7 @@ TEST(RemoteCache, CapacityOneIsLegalAndIdentical) {
   expect_identical_to_sequential(result);
 }
 
-TEST(RemoteCache, ZeroCapacitiesRejected) {
+TEST(RemoteCacheConfig, ZeroCapacitiesRejected) {
   core::CorrectorParams p = test_params();
   p.prefetch_capacity = 0;
   EXPECT_THROW(p.validate(), std::invalid_argument);

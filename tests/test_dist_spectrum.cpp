@@ -5,9 +5,11 @@
 
 #include <map>
 #include <mutex>
+#include <string>
 
 #include "core/spectrum.hpp"
 #include "seq/dataset.hpp"
+#include "seq/rng.hpp"
 
 namespace reptile::parallel {
 namespace {
@@ -29,9 +31,11 @@ seq::SyntheticDataset make_dataset(std::uint64_t seed, std::uint64_t n = 600) {
   return seq::SyntheticDataset::generate(spec, errors, seed);
 }
 
-/// Reference: global (unpruned) counts from the sequential builder.
-std::map<std::uint64_t, std::uint32_t> sequential_kmer_counts(
-    const std::vector<seq::Read>& reads, const core::CorrectorParams& p) {
+/// Reference: global (unpruned) counts of `kind` from the sequential
+/// extractor.
+std::map<std::uint64_t, std::uint32_t> sequential_counts(
+    const std::vector<seq::Read>& reads, const core::CorrectorParams& p,
+    LookupKind kind = LookupKind::kKmer) {
   core::SpectrumExtractor ex(p);
   std::map<std::uint64_t, std::uint32_t> counts;
   std::vector<seq::kmer_id_t> kmers;
@@ -40,9 +44,21 @@ std::map<std::uint64_t, std::uint32_t> sequential_kmer_counts(
     kmers.clear();
     tiles.clear();
     ex.extract(r.bases, kmers, tiles);
-    for (auto id : kmers) ++counts[id];
+    for (auto id : kind == LookupKind::kKmer ? kmers : tiles) ++counts[id];
   }
   return counts;
+}
+
+/// Adds this rank's contiguous share of `reads`: rank r of np takes
+/// [r*n/np, (r+1)*n/np).
+void add_my_slice(DistSpectrum& spectrum, const std::vector<seq::Read>& reads,
+                  const rtm::Comm& comm) {
+  const std::size_t np = static_cast<std::size_t>(comm.size());
+  const std::size_t r = static_cast<std::size_t>(comm.rank());
+  for (std::size_t i = reads.size() * r / np; i < reads.size() * (r + 1) / np;
+       ++i) {
+    spectrum.add_read(reads[i].bases);
+  }
 }
 
 /// Runs Step II+III across np ranks and returns each rank's owned tables'
@@ -84,7 +100,8 @@ std::map<std::uint64_t, std::uint32_t> distributed_kmer_counts(
     }
     if (prune_threshold > 1) spectrum.prune();
     std::lock_guard lock(merge_mutex);
-    spectrum.hash_kmers().for_each([&](std::uint64_t id, std::uint32_t c) {
+    spectrum.owned_table(LookupKind::kKmer)
+        .for_each([&](std::uint64_t id, std::uint32_t c) {
       // Each ID must live on exactly one rank.
       EXPECT_EQ(merged.count(id), 0u) << "id owned by two ranks";
       EXPECT_EQ(hash::owner_of(id, np), comm.rank());
@@ -97,7 +114,7 @@ std::map<std::uint64_t, std::uint32_t> distributed_kmer_counts(
 TEST(DistSpectrum, GlobalCountsMatchSequential) {
   const auto ds = make_dataset(1);
   const auto p = small_params();
-  const auto reference = sequential_kmer_counts(ds.reads, p);
+  const auto reference = sequential_counts(ds.reads, p);
   for (int np : {1, 2, 4, 8}) {
     const auto dist = distributed_kmer_counts(ds.reads, p, np, false, 1);
     EXPECT_EQ(dist, reference) << "np=" << np;
@@ -115,63 +132,58 @@ TEST(DistSpectrum, BatchModeProducesSameSpectrum) {
 TEST(DistSpectrum, PruningMatchesSequentialThreshold) {
   const auto ds = make_dataset(3);
   const auto p = small_params();
-  auto reference = sequential_kmer_counts(ds.reads, p);
+  auto reference = sequential_counts(ds.reads, p);
   std::erase_if(reference, [](const auto& kv) { return kv.second < 3; });
   const auto dist = distributed_kmer_counts(ds.reads, p, 4, false, 3);
   EXPECT_EQ(dist, reference);
 }
 
-TEST(DistSpectrum, OwnedLookupsAnswerOnlyOwnedIds) {
+class DistSpectrumKind : public ::testing::TestWithParam<LookupKind> {};
+
+TEST_P(DistSpectrumKind, OwnedLookupsAnswerOnlyOwnedIds) {
+  const LookupKind kind = GetParam();
   const auto ds = make_dataset(4, 100);
   const auto p = small_params();
   rtm::run_world({4, 1}, [&](rtm::Comm& comm) {
     Heuristics heur;
     DistSpectrum spectrum(p, heur, comm);
-    const std::size_t begin =
-        ds.reads.size() * static_cast<std::size_t>(comm.rank()) / 4;
-    const std::size_t end =
-        ds.reads.size() * static_cast<std::size_t>(comm.rank() + 1) / 4;
-    for (std::size_t i = begin; i < end; ++i) {
-      spectrum.add_read(ds.reads[i].bases);
-    }
+    add_my_slice(spectrum, ds.reads, comm);
     spectrum.exchange_to_owners();
-    spectrum.hash_kmers().for_each([&](std::uint64_t id, std::uint32_t) {
-      EXPECT_TRUE(spectrum.owns_kmer(id));
-      EXPECT_TRUE(spectrum.owned_kmer(id).has_value());
+    EXPECT_GT(spectrum.owned_table(kind).size(), 0u);
+    spectrum.owned_table(kind).for_each([&](std::uint64_t id, std::uint32_t) {
+      EXPECT_TRUE(spectrum.owns(id));
+      EXPECT_TRUE(spectrum.owned(kind, id).has_value());
     });
   });
 }
 
-TEST(DistSpectrum, ReplicationGathersWholeSpectrum) {
+TEST_P(DistSpectrumKind, ReplicationGathersWholeSpectrum) {
+  const LookupKind kind = GetParam();
   const auto ds = make_dataset(5, 200);
   const auto p = small_params();
-  const auto reference = sequential_kmer_counts(ds.reads, p);
+  const auto reference = sequential_counts(ds.reads, p, kind);
   rtm::run_world({4, 1}, [&](rtm::Comm& comm) {
     Heuristics heur;
-    heur.allgather_kmers = true;
+    (kind == LookupKind::kKmer ? heur.allgather_kmers : heur.allgather_tiles) =
+        true;
     DistSpectrum spectrum(p, heur, comm);
-    const std::size_t begin =
-        ds.reads.size() * static_cast<std::size_t>(comm.rank()) / 4;
-    const std::size_t end =
-        ds.reads.size() * static_cast<std::size_t>(comm.rank() + 1) / 4;
-    for (std::size_t i = begin; i < end; ++i) {
-      spectrum.add_read(ds.reads[i].bases);
-    }
+    add_my_slice(spectrum, ds.reads, comm);
     spectrum.exchange_to_owners();
-    spectrum.replicate_kmers();
-    // Every rank sees every k-mer with its exact global count.
+    spectrum.replicate(kind);
+    // Every rank sees every ID with its exact global count.
     for (const auto& [id, count] : reference) {
-      ASSERT_EQ(spectrum.replica_kmer(id), count);
+      ASSERT_EQ(spectrum.replica(kind, id), count);
     }
   });
 }
 
-TEST(DistSpectrum, ReadsTablesHoldGlobalCountsAfterFetch) {
+TEST_P(DistSpectrumKind, ReadsTablesHoldGlobalCountsAfterFetch) {
+  const LookupKind kind = GetParam();
   const auto ds = make_dataset(6, 300);
   auto p = small_params();
   p.kmer_threshold = 2;
-  p.tile_threshold = 2;
-  auto reference = sequential_kmer_counts(ds.reads, p);
+  p.tile_threshold = p.kmer_threshold;  // one pruning bar for both kinds
+  auto reference = sequential_counts(ds.reads, p, kind);
   rtm::run_world({4, 1}, [&](rtm::Comm& comm) {
     Heuristics heur;
     heur.read_kmers = true;
@@ -190,11 +202,11 @@ TEST(DistSpectrum, ReadsTablesHoldGlobalCountsAfterFetch) {
     spectrum.exchange_to_owners();
     spectrum.prune();
     spectrum.fetch_global_reads_tables();
-    // Every non-owned k-mer of this rank's reads is answerable locally,
-    // with the global (pruned) count.
-    for (auto id : my_kmers) {
-      if (spectrum.owns_kmer(id)) continue;
-      const auto local = spectrum.reads_kmer(id);
+    // Every non-owned ID of this rank's reads is answerable locally, with
+    // the global (pruned) count.
+    for (auto id : kind == LookupKind::kKmer ? my_kmers : my_tiles) {
+      if (spectrum.owns(id)) continue;
+      const auto local = spectrum.reads(kind, id);
       ASSERT_TRUE(local.has_value());
       const auto it = reference.find(id);
       const std::uint32_t global =
@@ -205,6 +217,14 @@ TEST(DistSpectrum, ReadsTablesHoldGlobalCountsAfterFetch) {
     }
   });
 }
+
+INSTANTIATE_TEST_SUITE_P(Kinds, DistSpectrumKind,
+                         ::testing::Values(LookupKind::kKmer,
+                                           LookupKind::kTile),
+                         [](const ::testing::TestParamInfo<LookupKind>& info) {
+                           return info.param == LookupKind::kKmer ? "kmer"
+                                                                  : "tile";
+                         });
 
 TEST(DistSpectrum, FootprintAccountsAllTables) {
   const auto ds = make_dataset(7, 100);
@@ -224,6 +244,70 @@ TEST(DistSpectrum, FootprintAccountsAllTables) {
     EXPECT_GT(spectrum.footprint().hash_tile_entries, 0u);
   });
 }
+
+// ---- exchanged filters -----------------------------------------------------
+
+class ExchangedFilters : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExchangedFilters, HoldTheConfiguredFalsePositiveRate) {
+  // An owner's filter holds only IDs it owns, and both ownership and the
+  // filter's block index reduce mix64(id). Keyed by raw ID, the keys would
+  // fill only the blocks congruent to the owner whenever np shares a factor
+  // with the block count, and the realised rate would be a multiple of the
+  // target. Keyed by hash::owned_set_key, it holds at every np and size.
+  const int np = GetParam();
+  core::CorrectorParams p;
+  p.k = 12;
+  p.tile_overlap = 4;
+  p.kmer_threshold = 1;
+  p.tile_threshold = 1;
+  constexpr int kProbes = 20000;
+  for (const std::size_t nreads : {400u, 1500u, 6000u}) {
+    seq::Rng rng(nreads);
+    std::vector<seq::Read> reads(nreads);
+    for (auto& r : reads) {
+      r.bases.resize(60);
+      for (char& b : r.bases) b = "ACGT"[rng.below(4)];
+    }
+    rtm::run_world({np, 1}, [&](rtm::Comm& comm) {
+      Heuristics heur;
+      heur.filter_lookups = true;
+      DistSpectrum spectrum(p, heur, comm);
+      add_my_slice(spectrum, reads, comm);
+      spectrum.exchange_to_owners();
+      spectrum.prune();
+      spectrum.exchange_filters(RetryPolicy{});
+      seq::Rng probe_rng(static_cast<std::uint64_t>(comm.rank()) + 1);
+      for (const LookupKind kind : kLookupKinds) {
+        for (int owner = 0; owner < np; ++owner) {
+          if (owner == comm.rank()) continue;
+          int maybe = 0;
+          for (int probes = 0; probes < kProbes;) {
+            // The top bit is beyond every k-mer (24-bit) and tile (40-bit)
+            // ID at k = 12, so the owner's table cannot hold the ID.
+            const std::uint64_t id = probe_rng.next() | (1ull << 63);
+            if (hash::owner_of(id, np) != owner) continue;
+            ++probes;
+            const auto answer = spectrum.filter(kind, id, owner);
+            ASSERT_NE(answer, DistSpectrum::FilterAnswer::kNoFilter);
+            maybe += answer == DistSpectrum::FilterAnswer::kMaybePresent;
+          }
+          const double rate = static_cast<double>(maybe) / kProbes;
+          EXPECT_LE(rate, 2 * heur.filter_fp_rate)
+              << "np=" << np << " reads=" << nreads << " rank=" << comm.rank()
+              << " owner=" << owner << " kind="
+              << (kind == LookupKind::kKmer ? "kmer" : "tile") << " own_table="
+              << spectrum.owned_table(kind).size();
+        }
+      }
+    });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, ExchangedFilters, ::testing::Values(2, 4, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "np" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace reptile::parallel

@@ -65,9 +65,9 @@ TEST(FilterChaos, TruncatedExchangeDegradesToUnfilteredWirePath) {
         EXPECT_EQ(spectrum.filter_bytes(), 0u);
         const int peer = 1 - comm.rank();
         for (std::uint64_t id = 0; id < 64; ++id) {
-          EXPECT_EQ(spectrum.filter_kmer(id, peer),
+          EXPECT_EQ(spectrum.filter(LookupKind::kKmer, id, peer),
                     DistSpectrum::FilterAnswer::kNoFilter);
-          EXPECT_EQ(spectrum.filter_tile(id, peer),
+          EXPECT_EQ(spectrum.filter(LookupKind::kTile, id, peer),
                     DistSpectrum::FilterAnswer::kNoFilter);
         }
         comm.barrier();
@@ -97,7 +97,7 @@ TEST(FilterChaos, DroppedExchangeTimesOutAndLeavesSlotsNull) {
         spectrum.exchange_filters(retry);
         EXPECT_EQ(spectrum.filter_bytes(), 0u);
         const int peer = 1 - comm.rank();
-        EXPECT_EQ(spectrum.filter_kmer(1, peer),
+        EXPECT_EQ(spectrum.filter(LookupKind::kKmer, 1, peer),
                   DistSpectrum::FilterAnswer::kNoFilter);
         comm.barrier();
       },

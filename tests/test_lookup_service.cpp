@@ -43,7 +43,8 @@ void run_protocol_test(
     std::uint64_t probe_id = 0;
     std::uint32_t probe_count = 0;
     if (comm.rank() == 0) {
-      spectrum.hash_kmers().for_each([&](std::uint64_t id, std::uint32_t c) {
+      spectrum.owned_table(LookupKind::kKmer)
+          .for_each([&](std::uint64_t id, std::uint32_t c) {
         if (probe_count == 0) {
           probe_id = id;
           probe_count = c;

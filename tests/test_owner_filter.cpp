@@ -137,7 +137,7 @@ TEST(OwnerFilter, BuildFromCountTableCoversEveryKey) {
   const OwnerFilter f = OwnerFilter::build_from(table, 0.01);
   EXPECT_EQ(f.key_count(), table.size());
   table.for_each([&](std::uint64_t id, std::uint32_t) {
-    ASSERT_TRUE(f.possibly_contains(id)) << "table key " << id;
+    ASSERT_TRUE(f.possibly_contains(owned_set_key(id))) << "table key " << id;
   });
 }
 

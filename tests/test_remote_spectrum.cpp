@@ -73,7 +73,8 @@ std::uint64_t any_owned_id(const DistSpectrum& spectrum, bool owned_by_self,
                            int np, int me) {
   std::uint64_t found = 0;
   bool have = false;
-  spectrum.hash_kmers().for_each([&](std::uint64_t id, std::uint32_t) {
+  spectrum.owned_table(LookupKind::kKmer)
+      .for_each([&](std::uint64_t id, std::uint32_t) {
     if (!have) {
       found = id;
       have = true;
@@ -90,7 +91,7 @@ TEST(RemoteSpectrumView, OwnedLookupsNeverMessage) {
   with_remote_view({}, [](rtm::Comm&, DistSpectrum& spectrum,
                           RemoteSpectrumView& view) {
     const auto id = any_owned_id(spectrum, true, 2, 1);
-    const auto direct = spectrum.owned_kmer(id);
+    const auto direct = spectrum.owned(LookupKind::kKmer, id);
     ASSERT_TRUE(direct.has_value());
     EXPECT_EQ(view.kmer_count(id), *direct);
     EXPECT_EQ(view.remote_stats().remote_kmer_lookups, 0u);
@@ -105,7 +106,8 @@ TEST(RemoteSpectrumView, RemoteLookupFetchesOwnersCount) {
     // Use the rank's own shard to learn plausible IDs, then perturb.
     std::uint64_t foreign = 0;
     bool have = false;
-    spectrum.hash_kmers().for_each([&](std::uint64_t id, std::uint32_t) {
+    spectrum.owned_table(LookupKind::kKmer)
+        .for_each([&](std::uint64_t id, std::uint32_t) {
       if (have) return;
       for (std::uint64_t delta = 1; delta < 64 && !have; ++delta) {
         const std::uint64_t candidate = id ^ delta;
@@ -141,7 +143,7 @@ TEST(RemoteSpectrumView, AddRemoteCachesSecondLookup) {
                             RemoteSpectrumView& view) {
     // A definitively absent, rank-0-owned tile ID.
     const std::uint64_t id = absent_id_owned_by(0, 2);
-    ASSERT_FALSE(spectrum.reads_tile(id).has_value());
+    ASSERT_FALSE(spectrum.reads(LookupKind::kTile, id).has_value());
     EXPECT_EQ(view.tile_count(id), 0u);
     EXPECT_EQ(view.remote_stats().remote_tile_lookups, 1u);
     // Cached (even though absent): the second lookup stays local.

@@ -307,7 +307,7 @@ TEST(RtmCheckLint, OrphanedReplyThrows) {
 
 TEST(RtmCheckLint, BatchHeaderCountMismatchThrows) {
   // A batch request whose header promises more IDs than the body carries
-  // mirrors the decode_batch_request check, but fails at the send site.
+  // mirrors the view_batch_request check, but fails at the send site.
   std::string what;
   try {
     rtm::run_world({2, 1}, [](rtm::Comm& comm) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "parallel/protocol.hpp"
@@ -39,6 +40,24 @@ T byte_roundtrip(const T& value) {
   T out{};
   std::memcpy(&out, buf.data(), sizeof(T));
   return out;
+}
+
+/// The first `len` bytes of `buf`: a truncated message.
+std::span<const std::byte> prefix(const std::vector<std::byte>& buf,
+                                  std::size_t len) {
+  return std::span<const std::byte>(buf.data(), len);
+}
+
+/// Frames `counts` as a batch reply into `buf` (sized batch_reply_bytes),
+/// the way the lookup service fills its reply payload in place.
+void encode_reply(std::vector<std::byte>& buf, std::uint64_t seq,
+                  const std::vector<std::int32_t>& counts) {
+  encode_batch_reply_header_into(buf.data(), seq,
+                                 static_cast<std::uint32_t>(counts.size()));
+  if (!counts.empty()) {
+    std::memcpy(batch_reply_counts_at(buf.data()), counts.data(),
+                counts.size() * sizeof(std::int32_t));
+  }
 }
 
 TEST(WireRoundTrip, ScalarRequestStructs) {
@@ -94,18 +113,19 @@ TEST(WireRoundTrip, BatchRequestIdentity) {
         batch_reply_tag(kind, static_cast<int>(rng.below(8)));
     const std::uint64_t seq = rng.next();
 
-    std::vector<std::uint8_t> buf;
-    encode_batch_request(
-        kind, reply_to,
-        std::span<const std::uint64_t>(ids.data(), ids.size()), buf, seq);
     // Size bound: header + 8 bytes per ID, nothing else.
+    std::vector<std::byte> buf(batch_request_bytes(n));
     ASSERT_EQ(buf.size(), sizeof(BatchLookupHeader) + 8 * n);
+    encode_batch_request_into(
+        buf.data(), kind, reply_to,
+        std::span<const std::uint64_t>(ids.data(), ids.size()), seq);
 
-    const BatchLookupRequest req = decode_batch_request(buf.data(), buf.size());
+    const BatchRequestView req = view_batch_request(buf);
     EXPECT_EQ(req.kind, kind);
     EXPECT_EQ(req.reply_to, reply_to);
     EXPECT_EQ(req.seq, seq);
-    EXPECT_EQ(req.ids, ids);
+    ASSERT_EQ(req.count, n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(req.id(i), ids[i]);
   }
 }
 
@@ -119,14 +139,14 @@ TEST(WireRoundTrip, BatchReplyIdentity) {
     }
     const std::uint64_t seq = rng.next();
 
-    std::vector<std::uint8_t> buf;
-    encode_batch_reply(
-        seq, std::span<const std::int32_t>(counts.data(), counts.size()), buf);
+    std::vector<std::byte> buf(batch_reply_bytes(n));
     ASSERT_EQ(buf.size(), sizeof(BatchReplyHeader) + 4 * n);
+    encode_reply(buf, seq, counts);
 
-    const BatchLookupReply reply = decode_batch_reply(buf.data(), buf.size());
+    const BatchReplyView reply = view_batch_reply(buf);
     EXPECT_EQ(reply.seq, seq);
-    EXPECT_EQ(reply.counts, counts);
+    ASSERT_EQ(reply.count, n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(reply.count_at(i), counts[i]);
   }
 }
 
@@ -134,32 +154,29 @@ TEST(WireRoundTrip, BatchRequestRejectsEveryTruncation) {
   seq::Rng rng(4);
   std::vector<std::uint64_t> ids(17);
   for (auto& id : ids) id = rng.next();
-  std::vector<std::uint8_t> buf;
-  encode_batch_request(LookupKind::kTile, kTagBatchReplyBase + 1,
-                       std::span<const std::uint64_t>(ids.data(), ids.size()),
-                       buf, 42);
+  std::vector<std::byte> buf(batch_request_bytes(ids.size()));
+  encode_batch_request_into(
+      buf.data(), LookupKind::kTile, kTagBatchReplyBase + 1,
+      std::span<const std::uint64_t>(ids.data(), ids.size()), 42);
   for (std::size_t len = 0; len < buf.size(); ++len) {
-    EXPECT_THROW(decode_batch_request(buf.data(), len), std::runtime_error)
+    EXPECT_THROW(view_batch_request(prefix(buf, len)), std::runtime_error)
         << "prefix of " << len << " bytes decoded";
   }
   // Over-long buffers are rejected too (count must match exactly).
-  buf.push_back(0);
-  EXPECT_THROW(decode_batch_request(buf.data(), buf.size()),
-               std::runtime_error);
+  buf.push_back(std::byte{0});
+  EXPECT_THROW(view_batch_request(buf), std::runtime_error);
 }
 
 TEST(WireRoundTrip, BatchReplyRejectsEveryTruncation) {
   std::vector<std::int32_t> counts(23, -1);
-  std::vector<std::uint8_t> buf;
-  encode_batch_reply(
-      7, std::span<const std::int32_t>(counts.data(), counts.size()), buf);
+  std::vector<std::byte> buf(batch_reply_bytes(counts.size()));
+  encode_reply(buf, 7, counts);
   for (std::size_t len = 0; len < buf.size(); ++len) {
-    EXPECT_THROW(decode_batch_reply(buf.data(), len), std::runtime_error)
+    EXPECT_THROW(view_batch_reply(prefix(buf, len)), std::runtime_error)
         << "prefix of " << len << " bytes decoded";
   }
-  buf.push_back(0);
-  EXPECT_THROW(decode_batch_reply(buf.data(), buf.size()),
-               std::runtime_error);
+  buf.push_back(std::byte{0});
+  EXPECT_THROW(view_batch_reply(buf), std::runtime_error);
 }
 
 TEST(WireRoundTrip, FilterExchangeIdentity) {
@@ -169,12 +186,11 @@ TEST(WireRoundTrip, FilterExchangeIdentity) {
     for (std::size_t i = 0; i < n; ++i) filter.insert(rng.next());
     const auto kind = rng.chance(0.5) ? LookupKind::kKmer : LookupKind::kTile;
 
-    std::vector<std::uint8_t> buf;
-    encode_filter_exchange(kind, filter, buf);
-    ASSERT_EQ(buf.size(), filter_exchange_bytes(filter));
+    std::vector<std::byte> buf(filter_exchange_bytes(filter));
     ASSERT_EQ(buf.size(), sizeof(FilterExchangeHeader) + filter.wire_bytes());
+    encode_filter_exchange_into(buf.data(), kind, filter);
 
-    const FilterExchange back = decode_filter_exchange(buf.data(), buf.size());
+    const FilterExchange back = decode_filter_exchange(buf);
     EXPECT_EQ(back.kind, kind);
     // The carried filter round-trips byte-for-byte, so it answers exactly
     // like the one the owner built.
@@ -187,20 +203,18 @@ TEST(WireRoundTrip, FilterExchangeRejectsEveryTruncation) {
   seq::Rng rng(7);
   hash::OwnerFilter filter(600, 0.01);
   for (int i = 0; i < 600; ++i) filter.insert(rng.next());
-  std::vector<std::uint8_t> buf;
-  encode_filter_exchange(LookupKind::kTile, filter, buf);
+  std::vector<std::byte> buf(filter_exchange_bytes(filter));
+  encode_filter_exchange_into(buf.data(), LookupKind::kTile, filter);
   for (std::size_t len = 0; len < buf.size(); ++len) {
-    EXPECT_THROW(decode_filter_exchange(buf.data(), len), std::runtime_error)
+    EXPECT_THROW(decode_filter_exchange(prefix(buf, len)), std::runtime_error)
         << "prefix of " << len << " bytes decoded";
   }
-  buf.push_back(0);
-  EXPECT_THROW(decode_filter_exchange(buf.data(), buf.size()),
-               std::runtime_error);
+  buf.push_back(std::byte{0});
+  EXPECT_THROW(decode_filter_exchange(buf), std::runtime_error);
   buf.pop_back();
   // Unknown lookup kind in the frame header.
-  buf[0] = 9;
-  EXPECT_THROW(decode_filter_exchange(buf.data(), buf.size()),
-               std::runtime_error);
+  buf[0] = std::byte{9};
+  EXPECT_THROW(decode_filter_exchange(buf), std::runtime_error);
 }
 
 TEST(WireRoundTrip, ReadRecordsIdentity) {

@@ -31,9 +31,12 @@ document's `schema` field:
     every heuristic row must produce identical corrected output
     (substitutions / reads_changed equal across rows), the filtered rows
     must answer definite absences locally (filter_neg_hits > 0) while the
-    unfiltered rows must not, and filtering must strictly reduce the IDs
+    unfiltered rows must not, filtering must strictly reduce the IDs
     sent over the wire (wire_ids: scalar round trips plus batched IDs)
-    versus the same row without filters.
+    versus the same row without filters, and every filtered row's
+    realised false-positive share, filter_false_positives /
+    (filter_false_positives + filter_neg_hits), must stay within
+    FIG5_MAX_FILTER_FP_SHARE (twice the default filter_fp_rate).
 
   scaling (schema "reptile-bench-scaling-v1", BENCH_scaling.json)
     The fig6/fig7/fig8 scaling trajectory. Functional rows come from the
@@ -124,6 +127,10 @@ FIG5_FILTER_PAIRS = [
     ("filtered", "base"),
     ("filtered_batched", "batched_lookups"),
 ]
+
+# Upper bound on a filtered fig5 row's false-positive share: twice the
+# default filter_fp_rate of 1 %, the bound the filter's property tests pin.
+FIG5_MAX_FILTER_FP_SHARE = 0.02
 
 # Deterministic scaling counters (seeded dataset, fixed topology): exact
 # per functional rank-count row.
@@ -239,6 +246,14 @@ def gate_fig5(cur: dict, base: dict) -> tuple[list[str], list[str]]:
             failures.append(
                 f"rows.{name}.filter_neg_hits = {neg} on an unfiltered "
                 f"row: the default-off contract is broken")
+        fp = row.get("filter_false_positives", 0)
+        if is_filtered and fp + neg > 0:
+            share = fp / (fp + neg)
+            if share > FIG5_MAX_FILTER_FP_SHARE:
+                failures.append(
+                    f"rows.{name} filter false-positive share = "
+                    f"{share:.4f} (false positives {fp}, neg hits {neg}) "
+                    f"exceeds {FIG5_MAX_FILTER_FP_SHARE}")
 
     for filtered, plain in FIG5_FILTER_PAIRS:
         f_row = get(cur, "rows", filtered)
