@@ -75,6 +75,38 @@ TEST(ServeChaos, StalledMessagesNeverChangeServedBytes) {
   EXPECT_EQ(server.stats().jobs_degraded, 0u);
 }
 
+TEST(ServeChaos, DuplicatedControlMessagesRunEachJobOnce) {
+  // Every message is delivered twice, the job announces and completions
+  // included. A peer must not serve an announced job a second time, and
+  // rank 0 must not count a previous job's completion toward this one.
+  const std::vector<seq::Read> reads = dataset(200);
+  DistConfig config;
+  config.params = test_params();
+  config.ranks = 3;
+  const DistResult reference = run_distributed(reads, config);
+
+  rtm::FaultPlan plan;
+  plan.seed = 77;
+  plan.max_delay_us = 50;
+  plan.duplicate_rate = 1.0;
+  config.run_options.chaos = plan;
+  CorrectionServer server(reads, config);
+  for (int j = 0; j < 3; ++j) {
+    JobRequest request;
+    request.reads = reads;
+    const JobReport report = server.submit(std::move(request)).get();
+    EXPECT_FALSE(report.degraded) << "job " << j;
+    ASSERT_EQ(report.corrected.size(), reference.corrected.size());
+    for (std::size_t i = 0; i < reference.corrected.size(); ++i) {
+      ASSERT_EQ(report.corrected[i].bases, reference.corrected[i].bases)
+          << "read " << reference.corrected[i].number << " job " << j;
+    }
+  }
+  server.shutdown();
+  EXPECT_EQ(server.stats().jobs_completed, 3u);
+  EXPECT_EQ(server.stats().jobs_degraded, 0u);
+}
+
 TEST(ServeChaos, StalledRankDegradesTheJobServerSurvivesNextJobClean) {
   const std::vector<seq::Read> reads = dataset();
   DistConfig config;
