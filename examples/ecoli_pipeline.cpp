@@ -68,9 +68,7 @@ int main(int argc, char** argv) {
   const auto config_back = parallel::parse_config_file(dir / "run.cfg");
 
   // 3. Distributed run from the files.
-  parallel::DistConfig run;
-  run.params = config_back.params;
-  run.heuristics = config_back.heuristics;
+  parallel::DistConfig run = parallel::to_dist_config(config_back);
   run.ranks = ranks;
   run.ranks_per_node = 4;
   std::printf("running %d ranks (%d per node), heuristics: %s\n", run.ranks,

@@ -85,16 +85,9 @@ int main(int argc, char** argv) {
 
   try {
     const auto file_config = parallel::parse_config_file(config_path);
-    parallel::DistConfig run;
-    run.params = file_config.params;
-    run.heuristics = file_config.heuristics;
+    parallel::DistConfig run = parallel::to_dist_config(file_config);
     run.ranks = ranks;
     run.ranks_per_node = ranks_per_node;
-    run.run_options.check.enabled = file_config.rtm_check;
-    run.run_options.mailbox_fast_path = file_config.mailbox_fast_path;
-    run.run_options.chaos = file_config.chaos;
-    run.retry = file_config.retry;
-    run.trace = file_config.trace;
     if (!trace_prefix.empty()) {
       run.trace.enabled = true;
       run.trace.metrics = true;

@@ -95,15 +95,8 @@ int main(int argc, char** argv) {
       reads = seq::read_all(file_config.fasta_file, file_config.qual_file);
     }
 
-    parallel::DistConfig config;
-    config.params = file_config.params;
-    config.heuristics = file_config.heuristics;
+    parallel::DistConfig config = parallel::to_dist_config(file_config);
     config.ranks = ranks;
-    config.run_options.check.enabled = file_config.rtm_check;
-    config.run_options.mailbox_fast_path = file_config.mailbox_fast_path;
-    config.run_options.chaos = file_config.chaos;
-    config.retry = file_config.retry;
-    config.trace = file_config.trace;
     if (!trace_prefix.empty()) {
       config.trace.enabled = true;
       config.trace.metrics = true;

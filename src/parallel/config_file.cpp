@@ -471,4 +471,16 @@ std::string to_config_text(const RunConfigFile& config) {
   return out.str();
 }
 
+DistConfig to_dist_config(const RunConfigFile& config) {
+  DistConfig run;
+  run.params = config.params;
+  run.heuristics = config.heuristics;
+  run.run_options.check.enabled = config.rtm_check;
+  run.run_options.mailbox_fast_path = config.mailbox_fast_path;
+  run.run_options.chaos = config.chaos;
+  run.retry = config.retry;
+  run.trace = config.trace;
+  return run;
+}
+
 }  // namespace reptile::parallel

@@ -23,6 +23,7 @@
 
 #include "core/params.hpp"
 #include "obs/trace.hpp"
+#include "parallel/dist_pipeline.hpp"
 #include "parallel/heuristics.hpp"
 #include "parallel/job.hpp"
 #include "parallel/protocol.hpp"
@@ -72,5 +73,11 @@ RunConfigFile parse_config_text(const std::string& text);
 /// Serializes a configuration back to file text (round-trips through
 /// parse_config_text).
 std::string to_config_text(const RunConfigFile& config);
+
+/// The run a configuration file describes: params, heuristics, rtm_check
+/// (run_options.check.enabled), mailbox_fast_path, chaos, retry and trace.
+/// Rank counts, the input files and the job.* overrides stay the caller's.
+/// An omitted key keeps the DistConfig default.
+DistConfig to_dist_config(const RunConfigFile& config);
 
 }  // namespace reptile::parallel

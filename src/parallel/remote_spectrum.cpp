@@ -121,7 +121,7 @@ RemoteSpectrumView::Resolution RemoteSpectrumView::resolve(
     r.filter_said_maybe = fa == DistSpectrum::FilterAnswer::kMaybePresent;
   }
 
-  if (heur_.batch_lookups || cache_remote_locally_) {
+  if (heur_.batch_lookups) {
     // Chunk cache: counts are verbatim remote replies, so a hit is exactly
     // what the scalar round trip would have returned.
     if (const auto c = cache_.find(id, kind)) {
@@ -491,7 +491,7 @@ std::uint32_t RemoteSpectrumView::lookup(std::uint64_t id, LookupKind kind) {
     case Link::kRemote:
       break;
   }
-  if (heur_.batch_lookups || cache_remote_locally_) ++remote_.prefetch_misses;
+  if (heur_.batch_lookups) ++remote_.prefetch_misses;
   return remote_lookup(r.owner, id, kind, r.filter_said_maybe);
 }
 

@@ -87,7 +87,10 @@ class RemoteSpectrumView final : public core::SpectrumView {
   /// default. With `cache_remote_locally` the add_remote heuristic caches
   /// scalar replies into this worker's chunk cache instead of the shared
   /// reads tables — the thread-safe variant used when several workers
-  /// share one rank. `retry` arms the timeout/retry protocol (see
+  /// share one rank. It is only ever set together with batch_lookups
+  /// (validate_dist_config and JobOverrides::validate reject concurrent
+  /// add_remote workers without it), so the chunk cache is consulted
+  /// exactly when batch_lookups is on. `retry` arms the timeout/retry protocol (see
   /// protocol.hpp); the default (disabled) blocks forever, exactly the
   /// paper's behaviour. `heur_override` substitutes the correction-phase
   /// heuristics (universal / batch_lookups / filter_lookups / add_remote)

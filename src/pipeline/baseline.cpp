@@ -8,6 +8,7 @@
 
 #include "pipeline/context.hpp"
 #include "pipeline/replicated_model.hpp"
+#include "pipeline/session.hpp"
 #include "pipeline/stages.hpp"
 #include "rtm/comm.hpp"
 
@@ -16,47 +17,37 @@ namespace reptile::parallel {
 BaselineResult run_replicated_baseline(const std::vector<seq::Read>& reads,
                                        const BaselineConfig& config) {
   config.params.validate();
+  const pipeline::ReadInput input(reads);
+  const auto np = static_cast<std::size_t>(config.ranks);
+  std::vector<std::vector<seq::Read>> corrected(np);
+  BaselineResult result;
+  result.ranks.resize(np);
 
-  std::vector<std::vector<seq::Read>> corrected_per_rank(
-      static_cast<std::size_t>(config.ranks));
-  std::vector<BaselineRankReport> reports(
-      static_cast<std::size_t>(config.ranks));
-
-  rtm::run_world(
-      {config.ranks, config.ranks_per_node}, [&](rtm::Comm& comm) {
-        const int rank = comm.rank();
-        const int np = comm.size();
-
+  // All observability off, and plain run options: resolve_run_options
+  // would lint the work-queue tags as strict-tag violations of the lookup
+  // protocol.
+  pipeline::run_session(
+      {config.ranks, config.ranks_per_node}, obs::TraceConfig{},
+      rtm::RunOptions{}, [&](rtm::Comm& comm) {
         pipeline::ReplicatedSpectrumModel model(config.params, comm);
-        const std::size_t begin = reads.size() *
-                                  static_cast<std::size_t>(rank) /
-                                  static_cast<std::size_t>(np);
-        const std::size_t end = reads.size() *
-                                static_cast<std::size_t>(rank + 1) /
-                                static_cast<std::size_t>(np);
-        seq::SliceReadSource source(reads, begin, end);
-
+        const auto source = input.open(comm.rank(), comm.size());
         pipeline::RankContext ctx;
         ctx.bind(config.params);
         ctx.rank.comm = &comm;
         ctx.rank.model = &model;
-        ctx.job.source = &source;
+        ctx.job.source = source.get();
         pipeline::baseline_graph(reads, config.work_chunk).run(ctx);
 
-        BaselineRankReport report;
+        const auto slot = static_cast<std::size_t>(comm.rank());
+        BaselineRankReport& report = result.ranks[slot];
         report.timeline() = std::move(ctx.job.report);
-        report.rank = rank;
+        report.rank = comm.rank();
         report.chunks_granted = report.work_grants;
         report.spectrum_bytes = report.footprint_after_construction.bytes;
-
-        corrected_per_rank[static_cast<std::size_t>(rank)] =
-            std::move(ctx.job.corrected);
-        reports[static_cast<std::size_t>(rank)] = std::move(report);
+        corrected[slot] = std::move(ctx.job.corrected);
       });
 
-  BaselineResult result;
-  result.ranks = std::move(reports);
-  result.corrected = pipeline::MergeStage::run(std::move(corrected_per_rank));
+  result.corrected = pipeline::MergeStage::run(std::move(corrected));
   return result;
 }
 

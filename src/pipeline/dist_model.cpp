@@ -1,7 +1,5 @@
 #include "pipeline/dist_model.hpp"
 
-#include <algorithm>
-
 #include "parallel/remote_spectrum.hpp"
 #include "pipeline/context.hpp"
 
@@ -19,14 +17,6 @@ void DistSpectrumModel::finalize_construction() {
   }
   spectrum_.replicate_group();  // no-op unless partial replication is on
   comm_->barrier();
-}
-
-void DistSpectrumModel::record_construction_footprint(
-    stats::PhaseTimeline& report) {
-  report.footprint_after_construction = spectrum_.footprint();
-  report.construction_peak_bytes =
-      std::max(report.construction_peak_bytes,
-               report.footprint_after_construction.bytes);
 }
 
 void DistSpectrumModel::reset_for_job() { spectrum_.reset_for_job(); }

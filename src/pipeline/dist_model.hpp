@@ -35,7 +35,9 @@ class DistSpectrumModel final : public SpectrumModel {
     return spectrum_.footprint().bytes;
   }
 
-  void record_construction_footprint(stats::PhaseTimeline& report) override;
+  void record_construction_footprint(stats::PhaseTimeline& report) override {
+    record_construction(report, spectrum_.footprint());
+  }
 
   void record_correction_footprint(stats::PhaseTimeline& report) override {
     report.footprint_after_correction = spectrum_.footprint();

@@ -5,100 +5,46 @@
 
 #include "parallel/dist_pipeline.hpp"
 
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "parallel/protocol_table.hpp"
-#include "pipeline/context.hpp"
-#include "pipeline/dist_model.hpp"
+#include "pipeline/session.hpp"
 #include "pipeline/stages.hpp"
-#include "rtm/check/check.hpp"
-#include "rtm/comm.hpp"
-#include "seq/fasta_io.hpp"
 
 namespace reptile::parallel {
 
 namespace {
 
-/// One rank's run over its Step I partition `raw_source`; writes its slice
-/// of the shared output arrays.
-void rank_main(rtm::Comm& comm, seq::ReadSource& raw_source,
-               const DistConfig& config,
-               std::vector<std::vector<seq::Read>>& corrected_per_rank,
-               std::vector<RankReport>& reports) {
-  const int rank = comm.rank();
-
-  pipeline::DistSpectrumModel model(config.params, config.heuristics, comm);
-  pipeline::RankContext ctx;
-  ctx.bind(config.params, config.heuristics);
-  ctx.rank.worker_threads = config.worker_threads;
-  ctx.rank.comm = &comm;
-  ctx.rank.model = &model;
-  ctx.job.retry = config.retry;
-  ctx.job.source = &raw_source;
-  pipeline::paper_graph().run(ctx);
-
-  RankReport report;
-  report.timeline() = std::move(ctx.job.report);
-  report.rank = rank;
-  report.traffic = comm.world().traffic().snapshot(rank);
-
-  corrected_per_rank[static_cast<std::size_t>(rank)] =
-      std::move(ctx.job.corrected);
-  reports[static_cast<std::size_t>(rank)] = std::move(report);
-}
-
-DistResult merge_results(std::vector<std::vector<seq::Read>> corrected_per_rank,
-                         std::vector<RankReport> reports) {
+/// Both one-shot drivers: one paper_graph() run per rank over its Step I
+/// partition of `input`, then the merge.
+DistResult run_one_shot(const pipeline::ReadInput& input,
+                        const DistConfig& config) {
+  validate_dist_config(config);
+  const auto np = static_cast<std::size_t>(config.ranks);
+  std::vector<std::vector<seq::Read>> corrected(np);
   DistResult result;
-  result.ranks = std::move(reports);
-  result.corrected = pipeline::MergeStage::run(std::move(corrected_per_rank));
-  return result;
-}
+  result.ranks.resize(np);
 
-/// Copies the finalized per-rank audit counters into the reports.
-void apply_check_snapshots(rtm::World& world,
-                           std::vector<RankReport>& reports) {
-  rtm::check::RunChecker* check = world.checker();
-  if (check == nullptr) return;
-  for (RankReport& report : reports) {
-    report.check = check->snapshot(report.rank);
-  }
-}
+  const auto checks = pipeline::run_session(
+      config.topology(), config.trace, resolve_run_options(config),
+      [&](rtm::Comm& comm) {
+        pipeline::DistRank rank(config, comm);
+        const auto source = input.open(comm.rank(), comm.size());
+        rank.ctx.job.source = source.get();
+        pipeline::paper_graph().run(rank.ctx);
+        const auto slot = static_cast<std::size_t>(comm.rank());
+        corrected[slot] = std::move(rank.ctx.job.corrected);
+        result.ranks[slot] = pipeline::take_report(rank.ctx);
+      });
 
-/// Applies the run's observability configuration. Called unconditionally at
-/// the start of every run — including the default-disabled state — so a
-/// traced run never leaks tracing or metrics into the next run in the same
-/// process (the identity tests depend on a disabled run being bit-identical
-/// to the seed).
-void begin_observability(const DistConfig& config) {
-  obs::Tracer::instance().configure(config.trace);
-  obs::Registry::global().configure(config.trace.metrics);
-  obs::ResourceLedger::global().configure(config.trace.ledger);
-}
-
-/// End-of-run observability: mirrors each rank's timeline counters into the
-/// metrics registry, then — once the runtime threads have all joined, which
-/// is what makes the ring buffers safe to read — writes one trace shard per
-/// rank. Destroying the World is the join point, so the caller must pass
-/// ownership in and lets this function release it first.
-void finish_observability(std::unique_ptr<rtm::World> world,
-                          const DistConfig& config,
-                          const std::vector<RankReport>& reports) {
-  for (const RankReport& report : reports) {
+  for (RankReport& report : result.ranks) {
+    report.check = checks[static_cast<std::size_t>(report.rank)];
     obs::Registry::global().publish_timeline(report, report.rank);
   }
-  if (obs::ResourceLedger::global().enabled()) {
-    obs::publish_ledger_metrics(obs::ResourceLedger::global().snapshot());
-  }
-  world.reset();  // joins chaos/watchdog threads; ring buffers now quiescent
-  if (config.trace.enabled && !config.trace.path.empty()) {
-    obs::Tracer::instance().write_shards(config.trace.path, config.ranks);
-  }
+  result.corrected = pipeline::MergeStage::run(std::move(corrected));
+  return result;
 }
 
 }  // namespace
@@ -139,48 +85,13 @@ rtm::RunOptions resolve_run_options(const DistConfig& config) {
 
 DistResult run_distributed(const std::vector<seq::Read>& reads,
                            const DistConfig& config) {
-  validate_dist_config(config);
-  begin_observability(config);
-
-  std::vector<std::vector<seq::Read>> corrected_per_rank(
-      static_cast<std::size_t>(config.ranks));
-  std::vector<RankReport> reports(static_cast<std::size_t>(config.ranks));
-
-  auto world = rtm::run_world(config.topology(), [&](rtm::Comm& comm) {
-    const std::size_t begin = reads.size() *
-                              static_cast<std::size_t>(comm.rank()) /
-                              static_cast<std::size_t>(comm.size());
-    const std::size_t end = reads.size() *
-                            static_cast<std::size_t>(comm.rank() + 1) /
-                            static_cast<std::size_t>(comm.size());
-    seq::SliceReadSource source(reads, begin, end);
-    rank_main(comm, source, config, corrected_per_rank, reports);
-  }, resolve_run_options(config));
-  apply_check_snapshots(*world, reports);
-  finish_observability(std::move(world), config, reports);
-
-  return merge_results(std::move(corrected_per_rank), std::move(reports));
+  return run_one_shot(pipeline::ReadInput(reads), config);
 }
 
 DistResult run_distributed_files(const std::filesystem::path& fasta,
                                  const std::filesystem::path& qual,
                                  const DistConfig& config) {
-  validate_dist_config(config);
-  begin_observability(config);
-
-  std::vector<std::vector<seq::Read>> corrected_per_rank(
-      static_cast<std::size_t>(config.ranks));
-  std::vector<RankReport> reports(static_cast<std::size_t>(config.ranks));
-
-  auto world = rtm::run_world(config.topology(), [&](rtm::Comm& comm) {
-    // Step I proper: every rank opens both files and takes its byte range.
-    seq::PartitionedReadSource source(fasta, qual, comm.rank(), comm.size());
-    rank_main(comm, source, config, corrected_per_rank, reports);
-  }, resolve_run_options(config));
-  apply_check_snapshots(*world, reports);
-  finish_observability(std::move(world), config, reports);
-
-  return merge_results(std::move(corrected_per_rank), std::move(reports));
+  return run_one_shot(pipeline::ReadInput(fasta, qual), config);
 }
 
 }  // namespace reptile::parallel

@@ -1,6 +1,5 @@
 #include "pipeline/replicated_model.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -48,55 +47,6 @@ std::uint32_t ReplicatedSpectrum::tile_count(seq::tile_id_t id) {
   const auto c = tiles_.find(extractor_.canon_tile(id));
   if (!c) ++stats_.tile_misses;
   return c.value_or(0);
-}
-
-void ReplicatedSpectrumModel::fill_footprint(
-    stats::SpectrumFootprint& fp) const {
-  fp.hash_kmer_entries = spectrum_.kmer_entries();
-  fp.hash_tile_entries = spectrum_.tile_entries();
-  fp.bytes = spectrum_.memory_bytes();
-}
-
-void ReplicatedSpectrumModel::record_construction_footprint(
-    stats::PhaseTimeline& report) {
-  fill_footprint(report.footprint_after_construction);
-  report.construction_peak_bytes =
-      std::max(report.construction_peak_bytes,
-               report.footprint_after_construction.bytes);
-}
-
-void ReplicatedSpectrumModel::record_correction_footprint(
-    stats::PhaseTimeline& report) {
-  fill_footprint(report.footprint_after_correction);
-}
-
-namespace {
-
-/// The replica is worker-private per rank (one correction thread in this
-/// mode), so lookups are the spectrum's counter delta since Step IV began.
-class ReplicaHandle final : public WorkerHandle {
- public:
-  explicit ReplicaHandle(ReplicatedSpectrum& spectrum)
-      : spectrum_(&spectrum), before_(spectrum.stats()) {}
-
-  core::SpectrumView& view() override { return *spectrum_; }
-
-  void harvest(stats::PhaseTimeline& acc) override {
-    acc.lookups += stats::counters_since(spectrum_->stats(), before_);
-  }
-
- private:
-  ReplicatedSpectrum* spectrum_;
-  core::LookupStats before_;
-};
-
-}  // namespace
-
-std::unique_ptr<WorkerHandle> ReplicatedSpectrumModel::make_worker(
-    const RankContext& ctx, int slot) {
-  (void)ctx;
-  (void)slot;
-  return std::make_unique<ReplicaHandle>(spectrum_);
 }
 
 }  // namespace reptile::pipeline

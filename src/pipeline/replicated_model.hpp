@@ -72,15 +72,22 @@ class ReplicatedSpectrumModel final : public SpectrumModel {
     return spectrum_.memory_bytes();
   }
 
-  void record_construction_footprint(stats::PhaseTimeline& report) override;
-  void record_correction_footprint(stats::PhaseTimeline& report) override;
+  void record_construction_footprint(stats::PhaseTimeline& report) override {
+    record_construction(report, whole_footprint(spectrum_));
+  }
 
-  std::unique_ptr<WorkerHandle> make_worker(const RankContext& ctx,
-                                            int slot) override;
+  void record_correction_footprint(stats::PhaseTimeline& report) override {
+    report.footprint_after_correction = whole_footprint(spectrum_);
+  }
+
+  /// The replica is worker-private per rank (one correction thread in this
+  /// mode).
+  std::unique_ptr<WorkerHandle> make_worker(const RankContext& /*ctx*/,
+                                            int /*slot*/) override {
+    return std::make_unique<CounterDeltaHandle>(spectrum_);
+  }
 
  private:
-  void fill_footprint(stats::SpectrumFootprint& fp) const;
-
   rtm::Comm* comm_;
   ReplicatedSpectrum spectrum_;
 };

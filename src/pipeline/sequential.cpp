@@ -16,7 +16,6 @@ namespace reptile::core {
 SequentialResult run_sequential(seq::ReadSource& source,
                                 const CorrectorParams& params) {
   params.validate();
-
   pipeline::LocalSpectrumModel model(params);
   pipeline::RankContext ctx;
   ctx.bind(params);
@@ -26,6 +25,13 @@ SequentialResult run_sequential(seq::ReadSource& source,
 
   SequentialResult result;
   result.timeline() = std::move(ctx.job.report);
+  // No World, so no observability state of its own: the process-wide
+  // tracer, metrics and ledger belong to the World run that applied them,
+  // which may still be live (a reference run beside a server). The ledger's
+  // balances are that run's, not this one's.
+  result.ledger.clear();
+  result.ledger_total_peak_bytes = 0;
+  result.ledger_rss_peak_bytes = 0;
   result.corrected = std::move(ctx.job.corrected);
   result.kmer_entries = result.footprint_after_construction.hash_kmer_entries;
   result.tile_entries = result.footprint_after_construction.hash_tile_entries;

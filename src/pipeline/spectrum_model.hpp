@@ -10,6 +10,7 @@
 //   ReplicatedSpectrumModel — the prior-art full replica per rank
 //                             (replicated_model.hpp).
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string_view>
@@ -43,6 +44,25 @@ class WorkerHandle {
   /// after the chunk loop (CorrectStage then merges accumulators: counters
   /// add, comm_seconds takes the maximum across workers).
   virtual void harvest(stats::PhaseTimeline& acc) { (void)acc; }
+};
+
+/// The single-worker handle over an in-memory spectrum (the local and
+/// replicated models): lookups are the view's counter delta since the
+/// handle was made, so construction-phase counters are excluded.
+class CounterDeltaHandle final : public WorkerHandle {
+ public:
+  explicit CounterDeltaHandle(core::SpectrumView& view)
+      : view_(&view), before_(view.stats()) {}
+
+  core::SpectrumView& view() override { return *view_; }
+
+  void harvest(stats::PhaseTimeline& acc) override {
+    acc.lookups += stats::counters_since(view_->stats(), before_);
+  }
+
+ private:
+  core::SpectrumView* view_;
+  core::LookupStats before_;
 };
 
 class SpectrumModel {
@@ -111,6 +131,26 @@ class SpectrumModel {
                                                     int slot) = 0;
 };
 
+/// Stores `fp` as the post-construction footprint and folds it into the
+/// construction peak.
+inline void record_construction(stats::PhaseTimeline& report,
+                                const stats::SpectrumFootprint& fp) {
+  report.footprint_after_construction = fp;
+  report.construction_peak_bytes =
+      std::max(report.construction_peak_bytes, fp.bytes);
+}
+
+/// The footprint of a spectrum held whole in one rank's memory (the local
+/// and replicated models): entries per table and total bytes.
+template <class Spectrum>
+stats::SpectrumFootprint whole_footprint(const Spectrum& spectrum) {
+  stats::SpectrumFootprint fp;
+  fp.hash_kmer_entries = spectrum.kmer_entries();
+  fp.hash_tile_entries = spectrum.tile_entries();
+  fp.bytes = spectrum.memory_bytes();
+  return fp;
+}
+
 /// The sequential reference model: both spectra in one in-memory
 /// core::LocalSpectrum, no communication anywhere.
 class LocalSpectrumModel final : public SpectrumModel {
@@ -126,56 +166,22 @@ class LocalSpectrumModel final : public SpectrumModel {
   }
 
   void record_construction_footprint(stats::PhaseTimeline& report) override {
-    fill_footprint(report.footprint_after_construction);
-    if (report.footprint_after_construction.bytes >
-        report.construction_peak_bytes) {
-      report.construction_peak_bytes =
-          report.footprint_after_construction.bytes;
-    }
+    record_construction(report, whole_footprint(spectrum_));
   }
 
   void record_correction_footprint(stats::PhaseTimeline& report) override {
-    fill_footprint(report.footprint_after_correction);
+    report.footprint_after_correction = whole_footprint(spectrum_);
   }
 
-  std::unique_ptr<WorkerHandle> make_worker(const RankContext& ctx,
-                                            int slot) override;
+  std::unique_ptr<WorkerHandle> make_worker(const RankContext& /*ctx*/,
+                                            int /*slot*/) override {
+    return std::make_unique<CounterDeltaHandle>(spectrum_);
+  }
 
   core::LocalSpectrum& spectrum() noexcept { return spectrum_; }
 
  private:
-  /// The single-worker handle: lookups are the spectrum's counter delta
-  /// since the handle was made (construction-phase counters excluded).
-  class Handle final : public WorkerHandle {
-   public:
-    explicit Handle(core::LocalSpectrum& spectrum)
-        : spectrum_(&spectrum), before_(spectrum.stats()) {}
-
-    core::SpectrumView& view() override { return *spectrum_; }
-
-    void harvest(stats::PhaseTimeline& acc) override {
-      acc.lookups += stats::counters_since(spectrum_->stats(), before_);
-    }
-
-   private:
-    core::LocalSpectrum* spectrum_;
-    core::LookupStats before_;
-  };
-
-  void fill_footprint(stats::SpectrumFootprint& fp) const {
-    fp.hash_kmer_entries = spectrum_.kmer_entries();
-    fp.hash_tile_entries = spectrum_.tile_entries();
-    fp.bytes = spectrum_.memory_bytes();
-  }
-
   core::LocalSpectrum spectrum_;
 };
-
-inline std::unique_ptr<WorkerHandle> LocalSpectrumModel::make_worker(
-    const RankContext& ctx, int slot) {
-  (void)ctx;
-  (void)slot;
-  return std::make_unique<Handle>(spectrum_);
-}
 
 }  // namespace reptile::pipeline

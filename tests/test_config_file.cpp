@@ -132,6 +132,69 @@ TEST(ConfigFile, RoundTripsThroughText) {
   EXPECT_EQ(back.heuristics.batch_reads, config.heuristics.batch_reads);
 }
 
+// One mapping from a parsed file to a run: each non-default key lands in its
+// DistConfig field, and an empty file leaves every field at its default.
+TEST(ConfigFile, MapsEveryRunKeyIntoDistConfig) {
+  const auto c = parse_config_text(R"(
+kmer_length          14
+universal            1
+rtm_check            0
+mailbox_fast_path    0
+chaos_seed           7
+chaos_max_delay_us   30
+chaos_drop_rate      0.05
+chaos_duplicate_rate 0.1
+chaos_truncate_rate  0.02
+chaos_stall_rate     0.25
+chaos_stall_us       40
+lookup_timeout_ticks 9
+lookup_max_retries   4
+trace_enabled        1
+trace_path           out/trace
+trace_ring_capacity  1024
+metrics_enabled      1
+ledger_enabled       1
+)");
+  const DistConfig run = to_dist_config(c);
+  EXPECT_EQ(run.params.k, 14);
+  EXPECT_TRUE(run.heuristics.universal);
+  EXPECT_FALSE(run.run_options.check.enabled);
+  EXPECT_FALSE(run.run_options.mailbox_fast_path);
+  EXPECT_EQ(run.run_options.chaos.seed, 7u);
+  EXPECT_EQ(run.run_options.chaos.max_delay_us, 30);
+  EXPECT_DOUBLE_EQ(run.run_options.chaos.drop_rate, 0.05);
+  EXPECT_DOUBLE_EQ(run.run_options.chaos.duplicate_rate, 0.1);
+  EXPECT_DOUBLE_EQ(run.run_options.chaos.truncate_rate, 0.02);
+  EXPECT_DOUBLE_EQ(run.run_options.chaos.stall_rate, 0.25);
+  EXPECT_EQ(run.run_options.chaos.stall_us, 40);
+  EXPECT_EQ(run.retry.timeout_ticks, 9);
+  EXPECT_EQ(run.retry.max_retries, 4);
+  EXPECT_TRUE(run.trace.enabled);
+  EXPECT_EQ(run.trace.path, "out/trace");
+  EXPECT_EQ(run.trace.ring_capacity, 1024u);
+  EXPECT_TRUE(run.trace.metrics);
+  EXPECT_TRUE(run.trace.ledger);
+
+  const DistConfig defaults;
+  const DistConfig mapped = to_dist_config(parse_config_text(""));
+  EXPECT_EQ(mapped.params.k, defaults.params.k);
+  EXPECT_EQ(mapped.heuristics.label(), defaults.heuristics.label());
+  EXPECT_EQ(mapped.ranks, defaults.ranks);
+  EXPECT_EQ(mapped.ranks_per_node, defaults.ranks_per_node);
+  EXPECT_EQ(mapped.worker_threads, defaults.worker_threads);
+  EXPECT_EQ(mapped.run_options.check.enabled,
+            defaults.run_options.check.enabled);
+  EXPECT_EQ(mapped.run_options.mailbox_fast_path,
+            defaults.run_options.mailbox_fast_path);
+  EXPECT_EQ(mapped.run_options.chaos.seed, defaults.run_options.chaos.seed);
+  EXPECT_EQ(mapped.retry.timeout_ticks, defaults.retry.timeout_ticks);
+  EXPECT_EQ(mapped.retry.max_retries, defaults.retry.max_retries);
+  EXPECT_EQ(mapped.trace.enabled, defaults.trace.enabled);
+  EXPECT_EQ(mapped.trace.metrics, defaults.trace.metrics);
+  EXPECT_EQ(mapped.trace.ledger, defaults.trace.ledger);
+  EXPECT_EQ(mapped.trace.ring_capacity, defaults.trace.ring_capacity);
+}
+
 // Every key the parser accepts must survive serialize -> parse unchanged,
 // including the chaos_* fault-plan and lookup_* retry keys.
 TEST(ConfigFile, RoundTripsFullKeySet) {

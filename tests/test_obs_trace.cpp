@@ -23,12 +23,15 @@
 #include <thread>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "obs/json.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parallel/baseline_replicated.hpp"
 #include "parallel/dist_pipeline.hpp"
 #include "parallel/report.hpp"
+#include "parallel/serve.hpp"
 #include "seq/dataset.hpp"
 
 namespace reptile {
@@ -311,6 +314,80 @@ TEST(ObsTrace, LedgerOffRunHasZeroCountersAndIdenticalOutput) {
   for (std::size_t i = 0; i < a.corrected.size(); ++i) {
     EXPECT_EQ(a.corrected[i].bases, b.corrected[i].bases) << "read " << i;
   }
+}
+
+TEST(ObsTrace, EveryDriverStartsFromItsOwnObservabilityState) {
+  // The observability state is process-wide, so each World driver applies
+  // its own (the baseline: all off) before it runs, and the sequential
+  // reference, which has no World, reports no ledger rows. A ledger-armed,
+  // traced run must not leave the next driver's report carrying its rows.
+  ObsReset reset;
+  const auto ds = small_dataset();
+  auto armed = traced_config(2);
+  armed.trace.ledger = true;
+  const auto traced = parallel::run_distributed(ds.reads, armed);
+  ASSERT_FALSE(traced.ranks.empty());
+  ASSERT_EQ(traced.ranks[0].ledger.size(), obs::kLedgerAccounts);
+
+  parallel::BaselineConfig baseline_config;
+  baseline_config.params = armed.params;
+  baseline_config.ranks = 2;
+  baseline_config.ranks_per_node = 2;
+  const auto baseline =
+      parallel::run_replicated_baseline(ds.reads, baseline_config);
+  ASSERT_EQ(baseline.ranks.size(), 2u);
+  for (const auto& r : baseline.ranks) {
+    EXPECT_TRUE(r.ledger.empty()) << "baseline rank " << r.rank;
+    EXPECT_EQ(r.ledger_total_peak_bytes, 0u) << "baseline rank " << r.rank;
+  }
+  EXPECT_FALSE(Tracer::instance().enabled());
+
+  parallel::run_distributed(ds.reads, armed);
+  const auto sequential = core::run_sequential(ds.reads, armed.params);
+  EXPECT_TRUE(sequential.ledger.empty());
+  EXPECT_EQ(sequential.ledger_total_peak_bytes, 0u);
+}
+
+TEST(ObsTrace, SequentialRunBesideALiveServerLeavesItsObservabilityAlone) {
+  // A reference run_sequential beside a live traced, metrics- and
+  // ledger-armed server must not reconfigure the process-wide state under
+  // the server's rank threads: the tracer, counters and ledger stay on.
+  ObsReset reset;
+  const auto ds = small_dataset();
+  auto config = traced_config(2);
+  config.trace.ledger = true;
+  parallel::CorrectionServer server(ds.reads, config);
+  const auto run_job = [&] {
+    parallel::JobRequest request;
+    request.reads = ds.reads;
+    return server.submit(std::move(request)).get();
+  };
+  run_job();
+
+  const auto sequential = core::run_sequential(ds.reads, config.params);
+  EXPECT_TRUE(sequential.ledger.empty());
+  EXPECT_TRUE(Tracer::instance().enabled());
+  EXPECT_TRUE(obs::ResourceLedger::global().enabled());
+  ASSERT_TRUE(Registry::global().enabled());
+  const obs::Counter* builds =
+      Registry::global().counter("reptile_spectrum_builds", 0);
+  ASSERT_NE(builds, nullptr);
+  EXPECT_EQ(builds->value(), 1u);
+
+  const parallel::JobReport report = run_job();
+  ASSERT_EQ(report.corrected.size(), sequential.corrected.size());
+  for (std::size_t i = 0; i < report.corrected.size(); ++i) {
+    ASSERT_EQ(report.corrected[i].bases, sequential.corrected[i].bases)
+        << "read " << sequential.corrected[i].number;
+  }
+  for (const auto& rank : report.ranks) {
+    EXPECT_EQ(rank.ledger.size(), obs::kLedgerAccounts) << "rank " << rank.rank;
+  }
+  server.shutdown();
+  const obs::Counter* completed =
+      Registry::global().counter("reptile_jobs_completed");
+  ASSERT_NE(completed, nullptr);
+  EXPECT_EQ(completed->value(), 2u);
 }
 
 // --- metrics registry ------------------------------------------------------
