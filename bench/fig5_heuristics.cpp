@@ -147,6 +147,7 @@ int main(int argc, char** argv) {
     std::uint64_t substitutions;
     std::uint64_t reads_changed;
     std::uint64_t sent_msgs;
+    std::uint64_t wavefront_rounds;
   };
   std::vector<JsonRow> json_rows;
   parallel::DistResult batched_result;
@@ -178,7 +179,7 @@ int main(int argc, char** argv) {
                            total.remote.filter_neg_hits,
                            total.remote.filter_false_positives,
                            total.substitutions, total.reads_changed,
-                           sent_msgs});
+                           sent_msgs, total.remote.wavefront_rounds});
     }
     if (row.slug != nullptr && std::strcmp(row.slug, "batched_lookups") == 0) {
       batched_result = std::move(result);
@@ -204,7 +205,8 @@ int main(int argc, char** argv) {
           "    \"%s\": {\"remote_lookups\": %llu, \"wire_ids\": %llu, "
           "\"filter_neg_hits\": %llu, "
           "\"filter_false_positives\": %llu, \"substitutions\": %llu, "
-          "\"reads_changed\": %llu, \"sent_msgs\": %llu}%s\n",
+          "\"reads_changed\": %llu, \"sent_msgs\": %llu, "
+          "\"wavefront_rounds\": %llu}%s\n",
           r.slug, static_cast<unsigned long long>(r.remote_lookups),
           static_cast<unsigned long long>(r.wire_ids),
           static_cast<unsigned long long>(r.filter_neg_hits),
@@ -212,6 +214,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(r.substitutions),
           static_cast<unsigned long long>(r.reads_changed),
           static_cast<unsigned long long>(r.sent_msgs),
+          static_cast<unsigned long long>(r.wavefront_rounds),
           i + 1 < json_rows.size() ? "," : "");
     }
     std::fprintf(out, "  }\n}\n");

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "hash/owner_filter.hpp"
 #include "hash/sorted_spectrum.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/chunk_cache.hpp"
 #include "parallel/lookup_service.hpp"
 #include "parallel/remote_spectrum.hpp"
 #include "parallel/wire.hpp"
@@ -173,6 +175,53 @@ void BM_CorrectRead(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CorrectRead);
+
+// --- wavefront lookup layers (ungated ns/op) --------------------------------
+
+/// One lookup in a chunk cache filled like a wavefront chunk: 25k cached
+/// absences and a few hundred present counts. Arg 0 looks up present IDs,
+/// 1 cached absences, 2 IDs the chunk never fetched.
+void BM_ChunkCacheFind(benchmark::State& state) {
+  const auto absent = random_keys(25000, 7);
+  const auto present = random_keys(500, 8);
+  const auto missing = random_keys(25000, 9);
+  constexpr auto kTile = parallel::LookupKind::kTile;
+  parallel::ChunkCache cache;
+  for (const auto id : absent) cache.add_absent(id, kTile);
+  for (const auto id : present) cache.add(id, kTile, 5);
+  const std::vector<std::uint64_t>& ids =
+      state.range(0) == 0 ? present : state.range(0) == 1 ? absent : missing;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.find(ids[i], kTile));
+    if (++i == ids.size()) i = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ChunkCacheFind)
+    ->ArgName("present0_absent1_miss2")
+    ->DenseRange(0, 2);
+
+/// The substitution positions of one untrusted tile (tile length 20, the
+/// default four positions).
+void BM_PickPositions(benchmark::State& state) {
+  core::CorrectorParams params;
+  const auto tile_len = static_cast<std::size_t>(params.tile_length());
+  seq::Rng rng(10);
+  std::vector<seq::qual_t> quals(4096);
+  for (auto& q : quals) q = static_cast<seq::qual_t>(2 + rng.next() % 39);
+  core::TilePositions out{};
+  std::size_t at = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::pick_positions(
+        std::span<const seq::qual_t>(quals).subspan(at, tile_len), params,
+        out));
+    benchmark::DoNotOptimize(out.data());
+    at = (at + 7) % (quals.size() - tile_len);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PickPositions);
 
 // --- messaging ----------------------------------------------------------------
 

@@ -10,30 +10,29 @@ TileCorrector::TileCorrector(const CorrectorParams& params)
   params_.validate();
 }
 
-void TileCorrector::pick_positions(std::span<const seq::qual_t> quals,
-                                   int tile_pos, std::vector<int>& out) const {
-  const int tlen = tile_codec_.tile_len();
-  out.clear();
-  out.reserve(static_cast<std::size_t>(tlen));
-  for (int off = 0; off < tlen; ++off) out.push_back(off);
-  std::stable_sort(out.begin(), out.end(), [&](int a, int b) {
-    const auto qa = quals[static_cast<std::size_t>(tile_pos + a)];
-    const auto qb = quals[static_cast<std::size_t>(tile_pos + b)];
-    if (qa != qb) return qa < qb;
-    return a < b;
-  });
-  if (params_.restrict_to_low_quality) {
-    // Original Reptile: only low-quality bases are suspected; drop every
-    // position at or above the quality threshold.
-    const auto first_high = std::find_if(out.begin(), out.end(), [&](int off) {
-      return quals[static_cast<std::size_t>(tile_pos + off)] >=
-             params_.qual_threshold;
-    });
-    out.erase(first_high, out.end());
+int pick_positions(std::span<const seq::qual_t> tile_quals,
+                   const CorrectorParams& params, TilePositions& out) {
+  const int tlen = static_cast<int>(tile_quals.size());
+  assert(tlen <= kMaxTileLength);
+  const int limit = std::min(params.max_positions_per_tile, tlen);
+  const auto qual = [&](int off) {
+    return static_cast<int>(tile_quals[static_cast<std::size_t>(off)]);
+  };
+  int n = 0;
+  for (int off = 0; off < tlen; ++off) {
+    const int q = qual(off);
+    // Original Reptile: only low-quality bases are suspected.
+    if (params.restrict_to_low_quality && q >= params.qual_threshold) continue;
+    // Offsets arrive in increasing order, so an equal quality sorts after
+    // every kept offset: a full list only takes a strictly lower one.
+    if (n == limit && q >= qual(out[static_cast<std::size_t>(n - 1)])) continue;
+    int j = n < limit ? n++ : n - 1;
+    for (; j > 0 && qual(out[static_cast<std::size_t>(j - 1)]) > q; --j) {
+      out[static_cast<std::size_t>(j)] = out[static_cast<std::size_t>(j - 1)];
+    }
+    out[static_cast<std::size_t>(j)] = off;
   }
-  if (static_cast<int>(out.size()) > params_.max_positions_per_tile) {
-    out.resize(static_cast<std::size_t>(params_.max_positions_per_tile));
-  }
+  return n;
 }
 
 bool TileCorrector::acceptable(seq::tile_id_t tile, SpectrumView& spectrum,
@@ -52,9 +51,15 @@ int TileCorrector::try_fix_tile(std::string& bases,
                                 std::span<const seq::qual_t> quals,
                                 int tile_pos,
                                 seq::tile_id_t tile, SpectrumView& spectrum,
-                                std::uint64_t degraded_before) const {
-  std::vector<int> positions;
-  pick_positions(quals, tile_pos, positions);
+                                std::uint64_t degraded_before,
+                                RejectedCandidates* rejected) const {
+  TilePositions picked{};
+  const int npicked = pick_positions(
+      quals.subspan(static_cast<std::size_t>(tile_pos),
+                    static_cast<std::size_t>(tile_codec_.tile_len())),
+      params_, picked);
+  const std::span<const int> positions(picked.data(),
+                                       static_cast<std::size_t>(npicked));
 
   Candidate best;
   std::uint32_t second_best = 0;
@@ -68,16 +73,26 @@ int TileCorrector::try_fix_tile(std::string& bases,
     }
   };
 
+  // Candidates are numbered in enumeration order, the memo's bit index.
+  std::size_t ordinal = 0;
+  auto evaluate = [&](Candidate c) {
+    const std::size_t i = ordinal++;
+    const bool memo = rejected != nullptr && i < rejected->size();
+    if (memo && rejected->test(i)) return;
+    const std::uint64_t before = memo ? spectrum.degraded_lookups() : 0;
+    if (acceptable(c.tile, spectrum, c.count)) {
+      consider(c);
+    } else if (memo && spectrum.degraded_lookups() == before) {
+      rejected->set(i);
+    }
+  };
+
   // Hamming distance 1: one substitution at one chosen position.
   for (int off : positions) {
     const seq::base_t current = tile_codec_.base_at(tile, off);
     for (seq::base_t b = 0; b < seq::kAlphabetSize; ++b) {
       if (b == current) continue;
-      const seq::tile_id_t cand = tile_codec_.substitute(tile, off, b);
-      std::uint32_t count = 0;
-      if (acceptable(cand, spectrum, count)) {
-        consider({cand, count, off, b, -1, 0});
-      }
+      evaluate({tile_codec_.substitute(tile, off, b), 0, off, b, -1, 0});
     }
   }
 
@@ -98,11 +113,8 @@ int TileCorrector::try_fix_tile(std::string& bases,
           const seq::tile_id_t partial = tile_codec_.substitute(tile, o1, b1);
           for (seq::base_t b2 = 0; b2 < seq::kAlphabetSize; ++b2) {
             if (b2 == c2) continue;
-            const seq::tile_id_t cand = tile_codec_.substitute(partial, o2, b2);
-            std::uint32_t count = 0;
-            if (acceptable(cand, spectrum, count)) {
-              consider({cand, count, o1, b1, o2, b2});
-            }
+            evaluate({tile_codec_.substitute(partial, o2, b2), 0, o1, b1, o2,
+                      b2});
           }
         }
       }
@@ -140,7 +152,7 @@ bool TileCorrector::advance(std::string& bases,
   assert(quals.size() == bases.size());
   const seq::KmerCodec& tc = tile_codec_.as_kmer_codec();
   ReadCorrection& result = cursor.result;
-  for (;; ++cursor.tile) {
+  for (;; ++cursor.tile, cursor.rejected.reset()) {
     const int pos =
         tile_codec_.tile_position(static_cast<int>(bases.size()), cursor.tile);
     if (pos < 0 || result.substitutions >= params_.max_corrections_per_read) {
@@ -156,7 +168,8 @@ bool TileCorrector::advance(std::string& bases,
     const int applied =
         spectrum.degraded_lookups() != degraded_before
             ? 0
-            : try_fix_tile(bases, quals, pos, tile, spectrum, degraded_before);
+            : try_fix_tile(bases, quals, pos, tile, spectrum, degraded_before,
+                           hold_degraded ? &cursor.rejected : nullptr);
     const bool degraded = spectrum.degraded_lookups() != degraded_before;
     // A degraded decision never changes the read, so holding it leaves
     // nothing to undo.

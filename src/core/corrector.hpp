@@ -19,11 +19,12 @@
 // sequential baseline and every distributed configuration produce
 // bit-identical corrected reads — the property the integration tests pin.
 
+#include <array>
+#include <bitset>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "core/params.hpp"
 #include "core/spectrum.hpp"
@@ -44,6 +45,19 @@ struct ReadCorrection {
   bool changed() const noexcept { return substitutions > 0; }
 };
 
+/// Offsets of a tile to try substitutions at.
+using TilePositions = std::array<int, kMaxTileLength>;
+
+/// Picks the offsets of an untrusted tile to substitute at, given the
+/// tile's qualities: lowest quality first (ties by offset), at most
+/// `params.max_positions_per_tile` of them, and with
+/// `restrict_to_low_quality` only offsets below `params.qual_threshold`.
+/// Writes them to the front of `out` and returns how many. Equal to a
+/// stable sort of all offsets by quality, filtered and truncated, but with
+/// a bounded insertion sort and no allocation.
+int pick_positions(std::span<const seq::qual_t> tile_quals,
+                   const CorrectorParams& params, TilePositions& out);
+
 class TileCorrector {
  public:
   explicit TileCorrector(const CorrectorParams& params);
@@ -51,11 +65,21 @@ class TileCorrector {
   const CorrectorParams& params() const noexcept { return params_; }
   const seq::TileCodec& tile_codec() const noexcept { return tile_codec_; }
 
+  /// Candidates of one tile search, by enumeration order (Hamming 1, then
+  /// Hamming 2), that a held tile has proven unacceptable.
+  using RejectedCandidates = std::bitset<256>;
+
   /// A read part-way through correction: the index of the next tile to
-  /// decide and the outcome of the tiles decided so far.
+  /// decide, the outcome of the tiles decided so far and, while the cursor
+  /// is held on a tile, that tile's rejected candidates.
   struct Cursor {
     std::size_t tile = 0;
     ReadCorrection result;
+    /// Bit i: candidate i of the held tile failed acceptable() with no
+    /// degraded lookup during the call, so asking again cannot change the
+    /// answer. Cleared when the cursor moves to the next tile. Candidates
+    /// past the last bit are evaluated every time.
+    RejectedCandidates rejected;
   };
 
   /// Decides the tiles of a read (`bases`, corrected in place, and its
@@ -64,8 +88,11 @@ class TileCorrector {
   /// not taken: the bases and the cursor stay on that tile and advance()
   /// returns false, so a caller that can fill in the missing evidence
   /// decides the tile again later (the chunk wavefront of
-  /// parallel::RemoteSpectrumView). Without it the tile is counted
-  /// degraded and left as it is.
+  /// parallel::RemoteSpectrumView). The next call then skips the
+  /// candidates the cursor remembers as rejected: an unacceptable
+  /// candidate never reaches the decision, so the outcome is the same and
+  /// only the repeated lookups go. Without `hold_degraded` the tile is
+  /// counted degraded and left as it is, and the memo is not used.
   bool advance(std::string& bases, std::span<const seq::qual_t> quals,
                Cursor& cursor, SpectrumView& spectrum,
                bool hold_degraded) const;
@@ -93,20 +120,18 @@ class TileCorrector {
   /// the spectrum's degraded_lookups() value from before the tile's gate
   /// lookup: if any lookup degraded since then, the candidate evidence is
   /// unreliable and no substitution is applied. The outcome is then already
-  /// known, so the search stops after the Hamming-1 phase.
+  /// known, so the search stops after the Hamming-1 phase. A non-null
+  /// `rejected` is the held tile's memo: its candidates are skipped and
+  /// newly proven ones recorded.
   int try_fix_tile(std::string& bases, std::span<const seq::qual_t> quals,
                    int tile_pos, seq::tile_id_t tile, SpectrumView& spectrum,
-                   std::uint64_t degraded_before) const;
+                   std::uint64_t degraded_before,
+                   RejectedCandidates* rejected) const;
 
   /// True when `tile` is supported: tile count above threshold and both
   /// constituent k-mers solid. Returns the tile count through `count`.
   bool acceptable(seq::tile_id_t tile, SpectrumView& spectrum,
                   std::uint32_t& count) const;
-
-  /// Selects up to max_positions_per_tile tile offsets, lowest quality
-  /// first (ties by offset).
-  void pick_positions(std::span<const seq::qual_t> quals, int tile_pos,
-                      std::vector<int>& out) const;
 
   CorrectorParams params_;
   seq::TileCodec tile_codec_;

@@ -9,6 +9,9 @@
 
 namespace reptile::core {
 
+/// Longest tile the packed 64-bit tile ID holds.
+inline constexpr int kMaxTileLength = 32;
+
 struct CorrectorParams {
   /// k-mer length (bases). Tile length is 2k - tile_overlap <= 32.
   int k = 12;
@@ -72,7 +75,7 @@ struct CorrectorParams {
     if (tile_overlap < 0 || tile_overlap >= k) {
       throw std::invalid_argument("tile_overlap must be in [0, k)");
     }
-    if (tile_length() > 32) {
+    if (tile_length() > kMaxTileLength) {
       throw std::invalid_argument("tile length 2k - overlap must be <= 32");
     }
     if (max_hamming < 1 || max_hamming > 2) {

@@ -12,6 +12,7 @@
 // memory-footprint accounting — the paper's evaluation tracks MB/rank, so
 // the table must be able to report its own bytes.
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -168,6 +169,13 @@ class CountTable {
     mask_ = 0;
     size_ = 0;
     charge_.set(0);
+  }
+
+  /// Removes all entries but keeps the slot arrays and their charge, for a
+  /// table refilled at about the same size (the chunk cache).
+  void clear_keep_capacity() {
+    std::fill(probe_.begin(), probe_.end(), std::uint8_t{0});
+    size_ = 0;
   }
 
  private:

@@ -244,6 +244,7 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
     if (probe.queued() == exchanged) break;  // every read finished
   }
   charge_wavefront();
+  remote_.wavefront_rounds += rounds;
   span.arg("rounds", rounds);
   span.arg("reads_left", active_.size());
   if (obs::Histogram* h = latency_histogram("reptile_batch_prefetch_us",
@@ -373,7 +374,6 @@ bool RemoteSpectrumView::exchange_round() {
     }
   }
   comm_wait_.stop();
-  cache_.seal();
   for (auto& ids : buckets_) ids.clear();
   return !abandoned && !full;
 }

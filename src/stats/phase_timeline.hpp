@@ -173,6 +173,7 @@ struct RemoteLookupStats {
   // distinct spectrum entries and must count in both tables — a merged
   // counter would hide a cross-kind accounting bug (regression-tested in
   // test_batch_lookup.cpp).
+  std::uint64_t wavefront_rounds = 0;    ///< wavefront exchanges, all chunks
   std::uint64_t batch_requests = 0;      ///< vectored wavefront requests sent
   std::uint64_t batch_kmer_ids = 0;      ///< deduped k-mer IDs sent
   std::uint64_t batch_tile_ids = 0;      ///< deduped tile IDs sent
@@ -245,6 +246,7 @@ struct RemoteLookupStats {
         counter(&S::remote_tile_absent, "reptile_remote_tile_absent"),
         counter(&S::reads_table_hits, "reptile_reads_table_hits"),
         counter(&S::group_lookups, "reptile_group_lookups"),
+        counter(&S::wavefront_rounds, "reptile_wavefront_rounds"),
         counter(&S::batch_requests, "reptile_batch_requests"),
         counter(&S::batch_kmer_ids, "reptile_batch_kmer_ids"),
         counter(&S::batch_tile_ids, "reptile_batch_tile_ids"),

@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -512,10 +514,22 @@ class WithholdingView final : public SpectrumView {
 
   void next_round() { ++round_; }
 
+  /// One lookup: its kind, ID, and the count it got unless withheld.
+  struct Ask {
+    bool tile;
+    std::uint64_t id;
+    bool withheld;
+    std::uint32_t count;
+  };
+  /// Every lookup in order, for a test to inspect and clear.
+  std::vector<Ask> asks;
+
  private:
   std::uint32_t answer(std::uint64_t id, bool tile, std::uint32_t count) {
     const auto asked = first_asked_.try_emplace({tile, id}, round_).first;
-    if (round_ - asked->second >= rounds_) return count;
+    const bool withheld = round_ - asked->second < rounds_;
+    asks.push_back({tile, id, withheld, count});
+    if (!withheld) return count;
     ++degraded_;
     return 0;
   }
@@ -570,6 +584,144 @@ TEST(CorrectorCursor, ResumedCorrectionEqualsOneShot) {
         changed += want[i].changed() ? 1 : 0;
       }
       EXPECT_GT(changed, 0u);
+    }
+  }
+}
+
+TEST(CorrectorCursor, HeldTileSkipsRejectedCandidates) {
+  // A held tile remembers the candidates it proved unacceptable (every
+  // lookup answered, one below threshold); the next advance() on that tile
+  // must not ask for them again, and the result still equals correct().
+  for (const int rounds : {1, 3}) {
+    CorrectorParams p = tiny();
+    seq::DatasetSpec spec{"memo", 300, 50, 600};
+    seq::ErrorModelParams errors;
+    errors.error_rate_start = 0.01;
+    errors.error_rate_end = 0.03;
+    const auto ds = seq::SyntheticDataset::generate(spec, errors, 5);
+    LocalSpectrum spectrum(p);
+    for (const auto& r : ds.reads) spectrum.add_read(r.bases);
+    spectrum.prune();
+    const TileCorrector corrector(p);
+    const seq::TileCodec codec(p.k, p.tile_overlap);
+
+    std::vector<seq::Read> one_shot = ds.reads;
+    std::vector<ReadCorrection> want;
+    for (auto& r : one_shot) want.push_back(corrector.correct(r, spectrum));
+
+    // Per read: the tile it is held on and the candidate tile IDs proven
+    // unacceptable there so far.
+    struct Held {
+      std::size_t tile = 0;
+      std::set<std::uint64_t> rejected;
+    };
+    std::vector<std::optional<Held>> held(ds.reads.size());
+    std::vector<seq::Read> resumed = ds.reads;
+    std::vector<TileCorrector::Cursor> cursors(resumed.size());
+    std::vector<bool> done(resumed.size(), false);
+    WithholdingView view(spectrum, rounds);
+    std::size_t checked = 0;
+    for (bool busy = true; busy; view.next_round()) {
+      busy = false;
+      for (std::size_t i = 0; i < resumed.size(); ++i) {
+        if (done[i]) continue;
+        view.asks.clear();
+        const std::size_t start = cursors[i].tile;
+        done[i] = corrector.advance(resumed[i].bases, resumed[i].quals,
+                                    cursors[i], view, /*hold_degraded=*/true);
+        busy = busy || !done[i];
+        if (held[i] && held[i]->tile == start) {
+          for (const auto& a : view.asks) {
+            EXPECT_FALSE(a.tile && held[i]->rejected.count(a.id) != 0)
+                << "read " << i << " asked rejected candidate " << a.id;
+          }
+          checked += held[i]->rejected.size();
+        }
+        if (done[i]) {
+          held[i].reset();
+          continue;
+        }
+        // The held tile's decision starts at its gate lookup; every tile
+        // lookup after the last one is a candidate, followed by the k-mer
+        // lookups acceptable() made for it.
+        const int pos = codec.tile_position(
+            static_cast<int>(resumed[i].bases.size()), cursors[i].tile);
+        const seq::tile_id_t gate = codec.pack(std::string_view(
+            resumed[i].bases).substr(static_cast<std::size_t>(pos)));
+        std::size_t first = 0;
+        for (std::size_t a = 0; a < view.asks.size(); ++a) {
+          if (view.asks[a].tile && view.asks[a].id == gate) first = a + 1;
+        }
+        if (!held[i] || held[i]->tile != cursors[i].tile) {
+          held[i] = Held{cursors[i].tile, {}};
+        }
+        for (std::size_t a = first; a < view.asks.size();) {
+          const std::uint64_t cand = view.asks[a].id;
+          bool answered = true;
+          bool rejected = false;
+          std::size_t b = a;
+          do {
+            const auto& ask = view.asks[b];
+            answered = answered && !ask.withheld;
+            rejected = rejected || ask.count < (ask.tile ? p.tile_threshold
+                                                         : p.kmer_threshold);
+            ++b;
+          } while (b < view.asks.size() && !view.asks[b].tile);
+          if (answered && rejected) held[i]->rejected.insert(cand);
+          a = b;
+        }
+      }
+    }
+    EXPECT_GT(checked, 0u) << "no held tile had a rejected candidate";
+    for (std::size_t i = 0; i < resumed.size(); ++i) {
+      EXPECT_EQ(resumed[i].bases, one_shot[i].bases) << "read " << i;
+      expect_same(cursors[i].result, want[i]);
+    }
+  }
+}
+
+/// The reference order: every offset stable-sorted by quality, filtered
+/// by the quality threshold when restricted, then truncated.
+std::vector<int> reference_positions(std::span<const seq::qual_t> quals,
+                                     const CorrectorParams& p) {
+  std::vector<int> out(quals.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = static_cast<int>(i);
+  std::stable_sort(out.begin(), out.end(), [&](int a, int b) {
+    return quals[static_cast<std::size_t>(a)] <
+           quals[static_cast<std::size_t>(b)];
+  });
+  if (p.restrict_to_low_quality) {
+    std::erase_if(out, [&](int off) {
+      return quals[static_cast<std::size_t>(off)] >= p.qual_threshold;
+    });
+  }
+  if (static_cast<int>(out.size()) > p.max_positions_per_tile) {
+    out.resize(static_cast<std::size_t>(p.max_positions_per_tile));
+  }
+  return out;
+}
+
+TEST(PickPositions, MatchesStableSortReference) {
+  std::mt19937_64 rng(23);
+  for (int trial = 0; trial < 400; ++trial) {
+    CorrectorParams p;
+    const int tlen = 1 + static_cast<int>(rng() % kMaxTileLength);
+    p.restrict_to_low_quality = (trial % 2) == 1;
+    p.qual_threshold = 10 + static_cast<int>(rng() % 20);
+    // Few distinct qualities, so ties are common.
+    std::vector<seq::qual_t> quals(static_cast<std::size_t>(tlen));
+    const int spread = 1 + static_cast<int>(rng() % 6);
+    for (auto& q : quals) {
+      q = static_cast<seq::qual_t>(p.qual_threshold - spread / 2 +
+                                   static_cast<int>(rng() % spread) * 3);
+    }
+    for (int m = 1; m <= tlen; ++m) {
+      p.max_positions_per_tile = m;
+      TilePositions got;
+      const int n = pick_positions(quals, p, got);
+      const std::vector<int> want = reference_positions(quals, p);
+      ASSERT_EQ(std::vector<int>(got.begin(), got.begin() + n), want)
+          << "trial " << trial << " tile length " << tlen << " max " << m;
     }
   }
 }

@@ -117,6 +117,7 @@ FIG5_COUNTERS = [
     "substitutions",
     "reads_changed",
     "sent_msgs",
+    "wavefront_rounds",
 ]
 
 # (filtered row, its unfiltered counterpart) pairs: the filter point must
