@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <span>
@@ -30,6 +31,7 @@
 #include "parallel/wire.hpp"
 #include "rtm/mailbox.hpp"
 #include "seq/dataset.hpp"
+#include "seq/fasta_io.hpp"
 #include "seq/kmer.hpp"
 #include "seq/rng.hpp"
 #include "stats/report.hpp"
@@ -222,6 +224,51 @@ void BM_PickPositions(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PickPositions);
+
+// --- Step I input (ungated bytes/s) -----------------------------------------
+
+/// A generated 20k-read FASTA + quality pair in a temporary directory,
+/// written on first use and removed at exit.
+struct ReadFiles {
+  std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "reptile_microbench_reads";
+  std::filesystem::path fasta = dir / "reads.fa";
+  std::filesystem::path qual = dir / "reads.qual";
+
+  ReadFiles() {
+    std::filesystem::create_directories(dir);
+    seq::DatasetSpec spec{"bench", 20000, 102, 200000};
+    seq::write_read_files(fasta, qual,
+                          seq::SyntheticDataset::generate(spec, {}, 11).reads);
+  }
+  ReadFiles(const ReadFiles&) = delete;
+  ReadFiles& operator=(const ReadFiles&) = delete;
+  ~ReadFiles() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  }
+};
+
+/// One full pass of a single-rank PartitionedReadSource (the Step I parser);
+/// bytes are base + quality bytes delivered, as perfbench's
+/// seq.parse_mb_per_s counts them.
+void BM_ReadPartition(benchmark::State& state) {
+  static const ReadFiles files;
+  seq::PartitionedReadSource source(files.fasta, files.qual, 0, 1);
+  seq::ReadBatch batch;
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    source.reset();
+    while (source.next_chunk(1024, batch)) {
+      for (const seq::Read& r : batch) {
+        bytes += static_cast<std::int64_t>(r.bases.size() + r.quals.size());
+      }
+      benchmark::DoNotOptimize(batch.data());
+    }
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_ReadPartition)->Unit(benchmark::kMillisecond);
 
 // --- messaging ----------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -92,7 +93,9 @@ void LoadBalanceStage::run(RankContext& ctx) {
     mine.reserve(ctx.job.source->size());
     seq::for_each_chunk(*ctx.job.source, ctx.job.params.chunk_size,
                         [&mine](seq::ReadBatch& batch) {
-                          mine.insert(mine.end(), batch.begin(), batch.end());
+                          mine.insert(mine.end(),
+                                      std::make_move_iterator(batch.begin()),
+                                      std::make_move_iterator(batch.end()));
                         });
     ctx.job.balanced = std::make_unique<seq::OwningReadSource>(
         parallel::rebalance_reads(*ctx.comm(), mine));

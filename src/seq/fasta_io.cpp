@@ -1,8 +1,9 @@
 #include "seq/fasta_io.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <charconv>
-#include <sstream>
+#include <cstring>
 #include <stdexcept>
 
 namespace reptile::seq {
@@ -14,41 +15,19 @@ namespace {
                            p.string());
 }
 
-/// Reads the sequence (or quality) body lines of the record the stream is
-/// positioned in, stopping at the next header or EOF; the stream is left at
-/// the next header line (or EOF).
-std::string read_body(std::ifstream& in) {
-  std::string body;
-  std::string line;
-  while (true) {
-    const std::streamoff pos = in.tellg();
-    if (!std::getline(in, line)) break;
-    if (!line.empty() && line[0] == '>') {
-      in.clear();
-      in.seekg(pos);
-      break;
-    }
-    body += line;
-    body += ' ';  // keep token separation for quality bodies
-  }
-  return body;
+/// io_fail for an error inside record `number`.
+[[noreturn]] void record_fail(const std::filesystem::path& p, seq_num_t number,
+                              const std::string& what) {
+  throw std::runtime_error("fasta_io: " + what + " (sequence " +
+                           std::to_string(number) + "): " + p.string());
 }
 
-std::vector<qual_t> parse_quals(const std::string& body) {
-  std::vector<qual_t> out;
-  std::istringstream is(body);
-  int q;
-  while (is >> q) out.push_back(static_cast<qual_t>(q));
-  return out;
-}
+/// Characters stripped from sequence lines.
+bool is_base_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 
-std::string strip_spaces(const std::string& body) {
-  std::string out;
-  out.reserve(body.size());
-  for (char c : body) {
-    if (c != ' ' && c != '\t' && c != '\r') out.push_back(c);
-  }
-  return out;
+/// Separators between quality values: the C locale's whitespace.
+bool is_qual_space(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
 }
 
 }  // namespace
@@ -87,41 +66,23 @@ void write_read_files(const std::filesystem::path& fasta,
 
 std::vector<Read> read_all(const std::filesystem::path& fasta,
                            const std::filesystem::path& qual) {
-  std::ifstream fa(fasta, std::ios::binary);
-  if (!fa) io_fail(fasta, "cannot open");
-  std::ifstream qf(qual, std::ios::binary);
-  if (!qf) io_fail(qual, "cannot open");
-
+  detail::RecordReader fa(fasta);
+  detail::RecordReader qf(qual);
   std::vector<Read> reads;
-  std::string line;
-  while (std::getline(fa, line)) {
-    const auto num = detail::parse_header(line);
-    if (!num) io_fail(fasta, "expected header line");
+  while (true) {
     Read r;
-    r.number = *num;
-    r.bases = strip_spaces(read_body(fa));
+    if (!detail::read_record(fa, qf, r)) break;
     reads.push_back(std::move(r));
   }
-  std::size_t i = 0;
-  while (std::getline(qf, line)) {
-    const auto num = detail::parse_header(line);
-    if (!num) io_fail(qual, "expected header line");
-    if (i >= reads.size() || reads[i].number != *num) {
-      io_fail(qual, "quality numbering does not match FASTA");
-    }
-    reads[i].quals = parse_quals(read_body(qf));
-    if (reads[i].quals.size() != reads[i].bases.size()) {
-      io_fail(qual, "quality length does not match read length");
-    }
-    ++i;
+  if (qf.next_header()) {
+    io_fail(qual, "quality numbering does not match FASTA");
   }
-  if (i != reads.size()) io_fail(qual, "fewer quality records than reads");
   return reads;
 }
 
 namespace detail {
 
-std::optional<seq_num_t> parse_header(const std::string& line) {
+std::optional<seq_num_t> parse_header(std::string_view line) {
   if (line.empty() || line[0] != '>') return std::nullopt;
   seq_num_t value = 0;
   const char* begin = line.data() + 1;
@@ -200,20 +161,156 @@ std::streamoff seek_to_record(std::ifstream& in, seq_num_t target,
   }
 }
 
+RecordReader::RecordReader(std::filesystem::path path)
+    : path_(std::move(path)),
+      in_(path_, std::ios::binary),
+      buf_(std::make_unique_for_overwrite<char[]>(kReadBufferBytes)) {
+  if (!in_) io_fail(path_, "cannot open");
+}
+
+void RecordReader::seek(std::streamoff offset) {
+  in_.clear();
+  in_.seekg(offset);
+  pos_ = end_ = 0;
+  eof_ = false;
+  has_header_ = false;
+}
+
+bool RecordReader::next_line(std::string_view& line) {
+  long_line_.clear();
+  while (true) {
+    const char* begin = buf_.get() + pos_;
+    const std::size_t avail = end_ - pos_;
+    if (const void* nl = std::memchr(begin, '\n', avail)) {
+      const auto len =
+          static_cast<std::size_t>(static_cast<const char*>(nl) - begin);
+      pos_ += len + 1;
+      if (long_line_.empty()) {
+        line = {begin, len};
+      } else {
+        line = long_line_.append(begin, len);
+      }
+      return true;
+    }
+    if (eof_) {  // a last line without a newline, or nothing left
+      pos_ = end_;
+      if (avail == 0 && long_line_.empty()) return false;
+      line = long_line_.empty() ? std::string_view(begin, avail)
+                                : long_line_.append(begin, avail);
+      return true;
+    }
+    // Refill. The partial line moves to the front of the buffer; a partial
+    // line that already fills the buffer moves to long_line_ instead.
+    if (avail == kReadBufferBytes) {
+      long_line_.append(begin, avail);
+      end_ = 0;
+    } else {
+      std::memmove(buf_.get(), begin, avail);
+      end_ = avail;
+    }
+    pos_ = 0;
+    const auto room = static_cast<std::streamsize>(kReadBufferBytes - end_);
+    const std::streamsize got = in_.rdbuf()->sgetn(buf_.get() + end_, room);
+    end_ += static_cast<std::size_t>(got);
+    eof_ = got <= 0;
+  }
+}
+
+bool RecordReader::next_body_line(std::string_view& line) {
+  if (has_header_ || !next_line(line)) return false;
+  if (!line.empty() && line[0] == '>') {
+    has_header_ = true;
+    header_ = parse_header(line);
+    return false;
+  }
+  return true;
+}
+
+std::optional<seq_num_t> RecordReader::next_header() {
+  std::optional<seq_num_t> num;
+  if (has_header_) {
+    has_header_ = false;
+    num = header_;
+  } else {
+    std::string_view line;
+    if (!next_line(line)) return std::nullopt;
+    num = parse_header(line);
+  }
+  if (!num) io_fail(path_, "expected header line");
+  number_ = *num;
+  return num;
+}
+
+void RecordReader::read_bases(std::string& out) {
+  base_scratch_.clear();
+  std::string_view line;
+  while (next_body_line(line)) {
+    const char* p = line.data();
+    const char* const end = p + line.size();
+    while (p != end) {
+      const char* stop = p;
+      while (stop != end && !is_base_space(*stop)) ++stop;
+      base_scratch_.append(p, stop);
+      p = stop;
+      while (p != end && is_base_space(*p)) ++p;
+    }
+  }
+  out = std::string(base_scratch_);  // exact size
+}
+
+void RecordReader::read_quals(std::vector<qual_t>& out) {
+  qual_scratch_.clear();
+  std::string_view line;
+  while (next_body_line(line)) {
+    const char* const end = line.data() + line.size();
+    for (const char* p = line.data(); p != end;) {
+      if (is_qual_space(*p)) {
+        ++p;
+        continue;
+      }
+      qual_t value = 0;
+      const auto [next, ec] = std::from_chars(p, end, value);
+      if (ec != std::errc{} || (next != end && !is_qual_space(*next))) {
+        const std::string token(p, std::find_if(p, end, is_qual_space));
+        record_fail(path_, number_,
+                    "quality value '" + token +
+                        "' is not a decimal integer in 0-255");
+      }
+      qual_scratch_.push_back(value);
+      p = next;
+    }
+  }
+  out = std::vector<qual_t>(qual_scratch_);  // exact size
+}
+
+bool read_record(RecordReader& fasta, RecordReader& qual, Read& r) {
+  const auto num = fasta.next_header();
+  if (!num) return false;
+  r.number = *num;
+  fasta.read_bases(r.bases);
+  const auto qnum = qual.next_header();
+  if (!qnum) record_fail(qual.path(), *num, "fewer quality records than reads");
+  if (*qnum != *num) {
+    record_fail(qual.path(), *num, "quality numbering does not match FASTA");
+  }
+  qual.read_quals(r.quals);
+  if (r.quals.size() != r.bases.size()) {
+    record_fail(qual.path(), *num,
+                "quality length does not match read length");
+  }
+  return true;
+}
+
 }  // namespace detail
 
 PartitionedReadSource::PartitionedReadSource(std::filesystem::path fasta,
                                              std::filesystem::path qual,
                                              int rank, int nranks)
-    : fasta_path_(std::move(fasta)), qual_path_(std::move(qual)) {
+    : fasta_(std::move(fasta)), qual_(std::move(qual)) {
   assert(rank >= 0 && rank < nranks);
-  fasta_.open(fasta_path_, std::ios::binary);
-  if (!fasta_) io_fail(fasta_path_, "cannot open");
-  qual_.open(qual_path_, std::ios::binary);
-  if (!qual_) io_fail(qual_path_, "cannot open");
-
-  fasta_.seekg(0, std::ios::end);
-  const std::streamoff size = fasta_.tellg();
+  std::ifstream& in = fasta_.stream();
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
 
   const auto range_start = static_cast<std::streamoff>(
       static_cast<double>(size) * rank / nranks);
@@ -223,14 +320,13 @@ PartitionedReadSource::PartitionedReadSource(std::filesystem::path fasta,
   // First owned record: first header at or after range_start. Rank 0 always
   // starts at byte 0 (there is no partial line to skip).
   std::streamoff start_pos = 0;
-  const auto first =
-      detail::first_header_at_or_after(fasta_, rank == 0 ? 0 : range_start,
-                                       &start_pos);
+  const auto first = detail::first_header_at_or_after(
+      in, rank == 0 ? 0 : range_start, &start_pos);
   // First record of the NEXT rank bounds our subset.
   std::optional<seq_num_t> next_first;
   if (rank + 1 < nranks) {
     std::streamoff dummy = 0;
-    next_first = detail::first_header_at_or_after(fasta_, range_end, &dummy);
+    next_first = detail::first_header_at_or_after(in, range_end, &dummy);
   }
 
   if (!first || (next_first && *first >= *next_first)) {
@@ -246,11 +342,11 @@ PartitionedReadSource::PartitionedReadSource(std::filesystem::path fasta,
     end_ = *next_first;
   } else {
     // Count the remaining records to find the end sequence number.
-    fasta_.clear();
-    fasta_.seekg(start_pos);
+    in.clear();
+    in.seekg(start_pos);
     seq_num_t last = first_;
     std::string line;
-    while (std::getline(fasta_, line)) {
+    while (std::getline(in, line)) {
       if (const auto n = detail::parse_header(line)) last = *n;
     }
     end_ = last + 1;
@@ -259,39 +355,24 @@ PartitionedReadSource::PartitionedReadSource(std::filesystem::path fasta,
 
   // Look up the same starting sequence number in the quality file so both
   // streams cover the same reads (paper Step I).
-  qual_start_ = detail::seek_to_record(qual_, first_, end_);
+  qual_start_ = detail::seek_to_record(qual_.stream(), first_, end_);
   reset();
 }
 
 void PartitionedReadSource::reset() {
   if (count_ == 0) return;
-  fasta_.clear();
-  fasta_.seekg(fasta_start_);
-  qual_.clear();
-  qual_.seekg(qual_start_);
+  fasta_.seek(fasta_start_);
+  qual_.seek(qual_start_);
   next_ = first_;
 }
 
 bool PartitionedReadSource::next_chunk(std::size_t max_reads, ReadBatch& out) {
   out.clear();
-  std::string line;
   while (next_ < end_ && out.size() < max_reads) {
-    if (!std::getline(fasta_, line)) break;
-    const auto num = detail::parse_header(line);
-    if (!num) io_fail(fasta_path_, "expected header line");
-    if (*num != next_) io_fail(fasta_path_, "non-contiguous sequence numbers");
     Read r;
-    r.number = *num;
-    r.bases = strip_spaces(read_body(fasta_));
-
-    if (!std::getline(qual_, line)) io_fail(qual_path_, "truncated");
-    const auto qnum = detail::parse_header(line);
-    if (!qnum || *qnum != *num) {
-      io_fail(qual_path_, "quality numbering does not match FASTA");
-    }
-    r.quals = parse_quals(read_body(qual_));
-    if (r.quals.size() != r.bases.size()) {
-      io_fail(qual_path_, "quality length does not match read length");
+    if (!detail::read_record(fasta_, qual_, r)) break;
+    if (r.number != next_) {
+      record_fail(fasta_.path(), r.number, "non-contiguous sequence numbers");
     }
     out.push_back(std::move(r));
     ++next_;
