@@ -127,6 +127,30 @@ void BM_CountTableInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_CountTableInsert);
 
+/// One CountTable lookup at the load of a replicated tile table: 101,010
+/// keys inserted by increment into a table sized for them, 131,072 slots
+/// (load 0.77). BM_SpectrumLookup_HashTable pre-sizes its table to load
+/// 0.5, which hides the miss path that ~95 % of the corrector's tile
+/// lookups take. Arg 0 looks up absent keys, 1 present ones.
+void BM_CountTableFind(benchmark::State& state) {
+  constexpr std::size_t kKeys = 101010;
+  const auto keys = random_keys(kKeys, 11);
+  hash::CountTable<> table(kKeys);
+  for (const auto k : keys) table.increment(k, 3);
+  if (table.capacity() != 131072) {
+    state.SkipWithError("table is not at the replica's 131,072 slots");
+    return;
+  }
+  const auto& ids = state.range(0) == 0 ? random_keys(kKeys, 12) : keys;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.find(ids[i]));
+    if (++i == ids.size()) i = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CountTableFind)->ArgName("miss0_hit1")->DenseRange(0, 1);
+
 void BM_KmerExtraction(benchmark::State& state) {
   seq::DatasetSpec spec{"bench", 200, 102, 10000};
   const auto ds = seq::SyntheticDataset::generate(spec, {}, 4);

@@ -23,7 +23,7 @@ namespace reptile::core {
 
 /// Storage layout of a frozen spectrum.
 enum class SpectrumBackend {
-  kHashTable,   ///< this paper's choice: robin-hood hash tables
+  kHashTable,   ///< this paper's choice: open-addressing hash tables
   kSortedArray, ///< Shah et al.: sorted lists + binary search
   kCacheAware,  ///< Jammula et al.: (B+1)-ary cache-line blocked layout
 };

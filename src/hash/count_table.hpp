@@ -6,14 +6,49 @@
 // (Section II-B contrast with Jammula et al.). This table is the structure
 // behind hashKmer/readsKmer/hashTile/readsTile.
 //
-// Implementation: robin-hood hashing on power-of-two capacity, with an
-// 8-bit probe-distance array (0 = empty slot), flat key and count arrays
-// (no per-node allocation), backward-shift deletion, and exact
-// memory-footprint accounting — the paper's evaluation tracks MB/rank, so
-// the table must be able to report its own bytes.
+// Why misses matter: the corrector asks for every Hamming neighbour of an
+// untrusted tile, and almost none of them exist — about 95 % of the
+// correction phase's tile lookups are misses. A miss must therefore be
+// decided from as few bytes as possible.
+//
+// Layout: power-of-two capacity, split into aligned groups of 16 slots
+// (group g holds slots 16g to 16g + 15).
+// Keys, counts and one control byte per slot live in three flat arrays (no
+// per-node allocation). A control byte is kEmpty (0x80), kDeleted (0xFE,
+// a tombstone) or a live slot's 7-bit tag.
+//
+// Probing: a key starts at its home group and visits later groups in
+// triangular order (home + 1, + 3, + 6, ...), which reaches every group of
+// a power-of-two table. Each group is tested with one SSE2 compare of the
+// tag against its 16 control bytes, and only tag matches load a key. The
+// search stops at the first group that still has an empty slot, so a
+// typical miss reads 16 control bytes and nothing else.
+//
+// Hash bits: on a rank's owned table every key satisfies
+// `mix64(key) % np == rank` (hash/hashing.hpp), so the low bits of the hash
+// are constant there for a power-of-two rank count. The tag is therefore the
+// top 7 bits, and the home group index skips the low 7 bits; both stay
+// spread on an owned table for up to 128 ranks.
+//
+// Deletion: an erased slot becomes empty when its group still has an empty
+// slot — such a group was never full since the last rebuild, so no probe
+// ever passed it. Otherwise it becomes a tombstone. An insert that would
+// take live entries plus tombstones to 7/8 of capacity first rebuilds the
+// table in place at the same capacity, which clears the tombstones; at
+// least 1/8 of the slots are always empty, so every probe ends.
+//
+// The byte bill: 8 B key + 4 B count + 1 B control = 13 B per slot, grown
+// on entry to increment() when live entries would reach 7/8 of capacity.
+// memory_bytes() is that exact bill, which the paper's per-rank memory
+// evaluation (MB/rank) reads.
+
+#ifndef __SSE2__
+#error "hash/count_table.hpp needs SSE2 (every x86-64 target has it)"
+#endif
+#include <emmintrin.h>
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -52,7 +87,7 @@ class CountTable {
   /// Current heap footprint in bytes (slot arrays only; the object header
   /// is negligible). Used for the paper's per-rank memory accounting.
   /// Reads the ledger charge, which every (re)size keeps equal to
-  /// cap_ * (key + count + probe) — one source of truth for the byte bill.
+  /// cap_ * (key + count + control) — one source of truth for the byte bill.
   std::size_t memory_bytes() const noexcept {
     return static_cast<std::size_t>(charge_.recorded());
   }
@@ -68,54 +103,57 @@ class CountTable {
   /// Returns the new count.
   count_type increment(key_type key, count_type delta = 1) {
     if ((size_ + 1) * 8 >= cap_ * 7) rehash_for(size_ * 2 + 8);
-    while (true) {
-      const auto r = try_increment(key, delta);
-      if (r) return *r;
-      // Probe distance overflowed its 8-bit budget: grow and retry.
-      rehash_for(cap_);
+    const std::uint64_t h = Hash{}(key);
+    const __m128i tag = _mm_set1_epi8(static_cast<char>(tag_of(h)));
+    std::size_t free_slot = kNone;
+    std::size_t g = home_group(h);
+    for (std::size_t step = 1;; g = (g + step++) & group_mask_) {
+      const __m128i ctrl = load_group(g);
+      for (unsigned m = match(ctrl, tag); m != 0; m &= m - 1) {
+        const std::size_t slot = g * kGroupWidth + std::countr_zero(m);
+        if (keys_[slot] == key) {
+          const count_type room =
+              std::numeric_limits<count_type>::max() - counts_[slot];
+          counts_[slot] += (delta < room ? delta : room);
+          return counts_[slot];
+        }
+      }
+      const unsigned free = free_mask(ctrl);
+      if (free_slot == kNone && free != 0) {
+        free_slot = g * kGroupWidth + std::countr_zero(free);
+      }
+      if (match(ctrl, empty_group()) != 0) break;
     }
+    if (ctrl_[free_slot] == kDeleted) {
+      --tombstones_;
+    } else if ((size_ + tombstones_ + 1) * 8 >= cap_ * 7) {
+      drop_tombstones();
+      free_slot = first_free(h);
+    }
+    place(free_slot, key, delta, h);
+    ++size_;
+    return delta;
   }
 
   /// Count of `key`, or std::nullopt when absent.
   std::optional<count_type> find(key_type key) const {
-    if (cap_ == 0) return std::nullopt;
-    std::size_t slot = index_of(key);
-    std::uint8_t dist = 1;
-    while (true) {
-      const std::uint8_t d = probe_[slot];
-      if (d == 0 || d < dist) return std::nullopt;
-      if (d == dist && keys_[slot] == key) return counts_[slot];
-      slot = (slot + 1) & mask_;
-      ++dist;
-      if (dist == 0) return std::nullopt;  // wrapped: cannot exist
-    }
+    const std::size_t slot = locate(key);
+    if (slot == kNone) return std::nullopt;
+    return counts_[slot];
   }
 
-  bool contains(key_type key) const { return find(key).has_value(); }
+  bool contains(key_type key) const { return locate(key) != kNone; }
 
   /// Removes `key`; returns true when it was present.
   bool erase(key_type key) {
-    if (cap_ == 0) return false;
-    std::size_t slot = index_of(key);
-    std::uint8_t dist = 1;
-    while (true) {
-      const std::uint8_t d = probe_[slot];
-      if (d == 0 || d < dist) return false;
-      if (d == dist && keys_[slot] == key) break;
-      slot = (slot + 1) & mask_;
-      ++dist;
-      if (dist == 0) return false;
+    const std::size_t slot = locate(key);
+    if (slot == kNone) return false;
+    if (match(load_group(slot / kGroupWidth), empty_group()) != 0) {
+      ctrl_[slot] = kEmpty;
+    } else {
+      ctrl_[slot] = kDeleted;
+      ++tombstones_;
     }
-    // Backward-shift deletion keeps probe distances tight.
-    std::size_t next = (slot + 1) & mask_;
-    while (probe_[next] > 1) {
-      keys_[slot] = keys_[next];
-      counts_[slot] = counts_[next];
-      probe_[slot] = static_cast<std::uint8_t>(probe_[next] - 1);
-      slot = next;
-      next = (next + 1) & mask_;
-    }
-    probe_[slot] = 0;
     --size_;
     return true;
   }
@@ -123,18 +161,15 @@ class CountTable {
   /// Drops every entry whose count is strictly below `threshold` (the
   /// paper's Step III pruning). Returns the number of entries removed.
   std::size_t prune_below(count_type threshold) {
-    // Rebuild into a fresh table: simpler and cache-friendlier than chained
-    // backward-shift erasure over a full scan.
-    CountTable kept(size_);
-    std::size_t removed = 0;
-    for (std::size_t i = 0; i < cap_; ++i) {
-      if (probe_[i] == 0) continue;
-      if (counts_[i] >= threshold) {
-        kept.increment(keys_[i], counts_[i]);
-      } else {
-        ++removed;
-      }
-    }
+    // Rebuild into a fresh table sized for the survivors, so the pruned
+    // spectrum does not keep the capacity that held every error k-mer.
+    std::size_t survivors = 0;
+    for_each([&](key_type, count_type c) { survivors += c >= threshold; });
+    CountTable kept(survivors);
+    for_each([&](key_type k, count_type c) {
+      if (c >= threshold) kept.increment(k, c);
+    });
+    const std::size_t removed = size_ - survivors;
     *this = std::move(kept);
     return removed;
   }
@@ -142,8 +177,12 @@ class CountTable {
   /// Applies `fn(key, count)` to every entry (unspecified order).
   template <class Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < cap_; ++i) {
-      if (probe_[i] != 0) fn(keys_[i], counts_[i]);
+    for (std::size_t g = 0; g * kGroupWidth < cap_; ++g) {
+      for (unsigned m = ~free_mask(load_group(g)) & 0xFFFFu; m != 0;
+           m &= m - 1) {
+        const std::size_t slot = g * kGroupWidth + std::countr_zero(m);
+        fn(keys_[slot], counts_[slot]);
+      }
     }
   }
 
@@ -163,96 +202,149 @@ class CountTable {
     keys_.shrink_to_fit();
     counts_.clear();
     counts_.shrink_to_fit();
-    probe_.clear();
-    probe_.shrink_to_fit();
+    ctrl_.clear();
+    ctrl_.shrink_to_fit();
     cap_ = 0;
-    mask_ = 0;
+    group_mask_ = 0;
     size_ = 0;
+    tombstones_ = 0;
     charge_.set(0);
   }
 
   /// Removes all entries but keeps the slot arrays and their charge, for a
   /// table refilled at about the same size (the chunk cache).
   void clear_keep_capacity() {
-    std::fill(probe_.begin(), probe_.end(), std::uint8_t{0});
+    std::fill(ctrl_.begin(), ctrl_.end(), kEmpty);
     size_ = 0;
+    tombstones_ = 0;
   }
 
  private:
-  std::size_t index_of(key_type key) const noexcept {
-    return Hash{}(key) & mask_;
+  static constexpr std::size_t kGroupWidth = 16;
+  static constexpr std::uint8_t kEmpty = 0x80;
+  static constexpr std::uint8_t kDeleted = 0xFE;
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  static std::uint8_t tag_of(std::uint64_t h) noexcept {
+    return static_cast<std::uint8_t>(h >> 57);
+  }
+  std::size_t home_group(std::uint64_t h) const noexcept {
+    return static_cast<std::size_t>(h >> 7) & group_mask_;
   }
 
-  /// Robin-hood insert-or-increment; returns nullopt when the required
-  /// probe distance would exceed the 8-bit budget (caller grows the table).
-  std::optional<count_type> try_increment(key_type key, count_type delta) {
-    key_type k = key;
-    count_type c = delta;
-    std::size_t slot = index_of(key);
-    std::uint8_t dist = 1;
-    bool carrying_original = true;  // still looking for `key` itself
-    count_type result = 0;
-    while (true) {
-      const std::uint8_t d = probe_[slot];
-      if (d == 0) {
-        keys_[slot] = k;
-        counts_[slot] = c;
-        probe_[slot] = dist;
-        ++size_;
-        return carrying_original ? c : result;
+  __m128i load_group(std::size_t g) const noexcept {
+    return _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(ctrl_.data() + g * kGroupWidth));
+  }
+  static __m128i empty_group() noexcept {
+    return _mm_set1_epi8(static_cast<char>(kEmpty));
+  }
+  /// Bit i set when control byte i equals the byte broadcast in `want`.
+  static unsigned match(__m128i ctrl, __m128i want) noexcept {
+    return static_cast<unsigned>(
+        _mm_movemask_epi8(_mm_cmpeq_epi8(ctrl, want)));
+  }
+  /// Bit i set when slot i is empty or a tombstone (high bit of the byte).
+  static unsigned free_mask(__m128i ctrl) noexcept {
+    return static_cast<unsigned>(_mm_movemask_epi8(ctrl));
+  }
+
+  /// Slot holding `key`, or kNone.
+  std::size_t locate(key_type key) const {
+    if (cap_ == 0) return kNone;
+    const std::uint64_t h = Hash{}(key);
+    const __m128i tag = _mm_set1_epi8(static_cast<char>(tag_of(h)));
+    std::size_t g = home_group(h);
+    for (std::size_t step = 1;; g = (g + step++) & group_mask_) {
+      const __m128i ctrl = load_group(g);
+      for (unsigned m = match(ctrl, tag); m != 0; m &= m - 1) {
+        const std::size_t slot = g * kGroupWidth + std::countr_zero(m);
+        if (keys_[slot] == key) return slot;
       }
-      if (carrying_original && d == dist && keys_[slot] == key) {
-        const count_type room =
-            std::numeric_limits<count_type>::max() - counts_[slot];
-        counts_[slot] += (delta < room ? delta : room);
-        return counts_[slot];
-      }
-      if (d < dist) {
-        // Rob the rich: swap the carried entry with the resident one.
-        std::swap(k, keys_[slot]);
-        std::swap(c, counts_[slot]);
-        std::swap(dist, probe_[slot]);
-        if (carrying_original) {
-          // The original (key, delta) just landed in this slot; from here on
-          // we are only re-homing displaced residents.
-          carrying_original = false;
-          result = delta;
-        }
-      }
-      slot = (slot + 1) & mask_;
-      ++dist;
-      if (dist == 0) return std::nullopt;  // 8-bit probe budget exhausted
+      if (match(ctrl, empty_group()) != 0) return kNone;
     }
   }
 
+  /// First empty-or-tombstone slot on the probe sequence of hash `h`.
+  std::size_t first_free(std::uint64_t h) const noexcept {
+    std::size_t g = home_group(h);
+    for (std::size_t step = 1;; g = (g + step++) & group_mask_) {
+      const unsigned free = free_mask(load_group(g));
+      if (free != 0) return g * kGroupWidth + std::countr_zero(free);
+    }
+  }
+
+  void place(std::size_t slot, key_type key, count_type count,
+             std::uint64_t h) noexcept {
+    ctrl_[slot] = tag_of(h);
+    keys_[slot] = key;
+    counts_[slot] = count;
+  }
+
+  /// Rebuilds the table in place at its own capacity, turning every
+  /// tombstone back into an empty slot. Live slots are first marked
+  /// kDeleted ("not yet placed"); each is then moved to the first free slot
+  /// of its probe sequence, swapping with an unplaced entry found there.
+  void drop_tombstones() {
+    for (std::uint8_t& c : ctrl_) c = (c & 0x80) ? kEmpty : kDeleted;
+    for (std::size_t i = 0; i < cap_;) {
+      if (ctrl_[i] != kDeleted) {
+        ++i;
+        continue;
+      }
+      const std::uint64_t h = Hash{}(keys_[i]);
+      const std::size_t target = first_free(h);
+      if (target / kGroupWidth == i / kGroupWidth) {
+        // Already in the first group with room: it stays.
+        ctrl_[i] = tag_of(h);
+        ++i;
+      } else if (ctrl_[target] == kEmpty) {
+        place(target, keys_[i], counts_[i], h);
+        ctrl_[i] = kEmpty;
+        ++i;
+      } else {
+        // `target` holds an entry not yet placed: swap, then place the
+        // entry that landed in slot i.
+        std::swap(keys_[i], keys_[target]);
+        std::swap(counts_[i], counts_[target]);
+        ctrl_[target] = tag_of(h);
+      }
+    }
+    tombstones_ = 0;
+  }
+
   void rehash_for(std::size_t expected) {
-    std::size_t want = 16;
+    std::size_t want = kGroupWidth;
     while (want * 7 < (expected + 1) * 8) want *= 2;  // keep load <= 7/8
     if (want <= cap_ && size_ != 0) want = cap_ * 2;
     std::vector<key_type> old_keys = std::move(keys_);
     std::vector<count_type> old_counts = std::move(counts_);
-    std::vector<std::uint8_t> old_probe = std::move(probe_);
-    const std::size_t old_cap = cap_;
+    std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
 
     keys_.assign(want, 0);
     counts_.assign(want, 0);
-    probe_.assign(want, 0);
+    ctrl_.assign(want, kEmpty);
     cap_ = want;
-    mask_ = want - 1;
-    size_ = 0;
+    group_mask_ = want / kGroupWidth - 1;
+    tombstones_ = 0;
     charge_.set(
         cap_ * (sizeof(key_type) + sizeof(count_type) + sizeof(std::uint8_t)));
-    for (std::size_t i = 0; i < old_cap; ++i) {
-      if (old_probe[i] != 0) increment(old_keys[i], old_counts[i]);
+    // Keys are distinct and the new table has no tombstones, so each goes
+    // straight to the first free slot of its probe sequence.
+    for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
+      if (old_ctrl[i] & 0x80) continue;
+      const std::uint64_t h = Hash{}(old_keys[i]);
+      place(first_free(h), old_keys[i], old_counts[i], h);
     }
   }
 
   std::vector<key_type> keys_;
   std::vector<count_type> counts_;
-  std::vector<std::uint8_t> probe_;
+  std::vector<std::uint8_t> ctrl_;
   std::size_t cap_ = 0;
-  std::size_t mask_ = 0;
+  std::size_t group_mask_ = 0;
   std::size_t size_ = 0;
+  std::size_t tombstones_ = 0;
   obs::LedgerCharge charge_{obs::LedgerAccount::kCountTable};
 };
 

@@ -32,7 +32,7 @@ struct MachineModel {
   /// (remote lookups additionally pay the round trip).
   double lookup_compute_cost = 3.0e-5;
   /// Cost of extracting and table-inserting one k-mer or tile during
-  /// construction — parsing, packing, hashing and the robin-hood insert on
+  /// construction — parsing, packing, hashing and the hash-table insert on
   /// a 1.6 GHz in-order A2 core, including its share of file reading (s).
   double extract_insert_cost = 2.0e-6;
 
@@ -70,7 +70,7 @@ struct MachineModel {
   double collective_latency = 2.0e-5;
 
   // --- memory ---------------------------------------------------------------
-  /// Bytes per hash-table slot (8 key + 4 count + 1 probe byte).
+  /// Bytes per hash-table slot (8 key + 4 count + 1 control byte).
   double table_bytes_per_slot = 13.0;
   /// Inverse load factor of the tables (capacity/entries).
   double table_overhead = 1.6;

@@ -12,17 +12,6 @@ KmerCodec::KmerCodec(int k) : k_(k) {
   mask_ = (k == 32) ? ~kmer_id_t{0} : ((kmer_id_t{1} << (2 * k)) - 1);
 }
 
-kmer_id_t KmerCodec::pack(std::string_view s) const {
-  assert(static_cast<int>(s.size()) >= k_);
-  kmer_id_t id = 0;
-  for (int i = 0; i < k_; ++i) {
-    const base_t b = base_from_char(s[static_cast<std::size_t>(i)]);
-    assert(b != kInvalidBase);
-    id = (id << 2) | b;
-  }
-  return id;
-}
-
 std::string KmerCodec::unpack(kmer_id_t id) const {
   std::string out(static_cast<std::size_t>(k_), 'A');
   for (int i = k_ - 1; i >= 0; --i) {
@@ -30,25 +19,6 @@ std::string KmerCodec::unpack(kmer_id_t id) const {
     id >>= 2;
   }
   return out;
-}
-
-base_t KmerCodec::base_at(kmer_id_t id, int pos) const {
-  assert(pos >= 0 && pos < k_);
-  const int shift = 2 * (k_ - 1 - pos);
-  return static_cast<base_t>((id >> shift) & 0x3);
-}
-
-kmer_id_t KmerCodec::substitute(kmer_id_t id, int pos, base_t b) const {
-  assert(pos >= 0 && pos < k_);
-  assert(b < kAlphabetSize);
-  const int shift = 2 * (k_ - 1 - pos);
-  const kmer_id_t cleared = id & ~(kmer_id_t{0x3} << shift);
-  return cleared | (kmer_id_t{b} << shift);
-}
-
-kmer_id_t KmerCodec::roll(kmer_id_t id, base_t incoming) const {
-  assert(incoming < kAlphabetSize);
-  return ((id << 2) | incoming) & mask_;
 }
 
 kmer_id_t KmerCodec::reverse_complement(kmer_id_t id) const {

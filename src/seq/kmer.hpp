@@ -10,6 +10,7 @@
 // characters of the sequence" (Section III, Step II); it is the key of the
 // distributed k-mer spectrum.
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -39,22 +40,47 @@ class KmerCodec {
   /// Bit-mask covering the 2*k occupied bits.
   kmer_id_t mask() const noexcept { return mask_; }
 
+  // pack, base_at, substitute and roll are the corrector's inner-loop
+  // calls, so they are defined inline here.
+
   /// Packs the first k bases of `s`. Precondition: s.size() >= k and all
   /// characters are valid bases.
-  kmer_id_t pack(std::string_view s) const;
+  kmer_id_t pack(std::string_view s) const {
+    assert(static_cast<int>(s.size()) >= k_);
+    kmer_id_t id = 0;
+    for (int i = 0; i < k_; ++i) {
+      const base_t b = base_from_char(s[static_cast<std::size_t>(i)]);
+      assert(b != kInvalidBase);
+      id = (id << 2) | b;
+    }
+    return id;
+  }
 
   /// Unpacks an ID back into its character spelling.
   std::string unpack(kmer_id_t id) const;
 
   /// Base code at `pos` (0-based from the left). Precondition: pos < k.
-  base_t base_at(kmer_id_t id, int pos) const;
+  base_t base_at(kmer_id_t id, int pos) const {
+    assert(pos >= 0 && pos < k_);
+    const int shift = 2 * (k_ - 1 - pos);
+    return static_cast<base_t>((id >> shift) & 0x3);
+  }
 
   /// Returns `id` with the base at `pos` replaced by `b`.
-  kmer_id_t substitute(kmer_id_t id, int pos, base_t b) const;
+  kmer_id_t substitute(kmer_id_t id, int pos, base_t b) const {
+    assert(pos >= 0 && pos < k_);
+    assert(b < kAlphabetSize);
+    const int shift = 2 * (k_ - 1 - pos);
+    const kmer_id_t cleared = id & ~(kmer_id_t{0x3} << shift);
+    return cleared | (kmer_id_t{b} << shift);
+  }
 
   /// Slides the k-mer window one base to the right: drops the leftmost base
   /// and appends `incoming` at the right end.
-  kmer_id_t roll(kmer_id_t id, base_t incoming) const;
+  kmer_id_t roll(kmer_id_t id, base_t incoming) const {
+    assert(incoming < kAlphabetSize);
+    return ((id << 2) | incoming) & mask_;
+  }
 
   /// Reverse complement of the packed k-mer.
   kmer_id_t reverse_complement(kmer_id_t id) const;

@@ -27,14 +27,6 @@ tile_id_t TileCodec::combine(kmer_id_t first, kmer_id_t second) const {
   return (first << (2 * tail_bases)) | (second & tail_mask);
 }
 
-kmer_id_t TileCodec::first_kmer(tile_id_t id) const {
-  return id >> (2 * step_);
-}
-
-kmer_id_t TileCodec::second_kmer(tile_id_t id) const {
-  return id & kmer_codec_.mask();
-}
-
 std::vector<int> TileCodec::tile_positions(int read_len) const {
   std::vector<int> out;
   for (int pos = 0; (pos = tile_position(read_len, out.size())) >= 0;) {

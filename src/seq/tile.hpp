@@ -63,10 +63,12 @@ class TileCodec {
   tile_id_t combine(kmer_id_t first, kmer_id_t second) const;
 
   /// First constituent k-mer (tile offsets [0, k)).
-  kmer_id_t first_kmer(tile_id_t id) const;
+  kmer_id_t first_kmer(tile_id_t id) const { return id >> (2 * step_); }
 
   /// Second constituent k-mer (tile offsets [step, tile_len)).
-  kmer_id_t second_kmer(tile_id_t id) const;
+  kmer_id_t second_kmer(tile_id_t id) const {
+    return id & kmer_codec_.mask();
+  }
 
   /// Base code at tile offset `pos`.
   base_t base_at(tile_id_t id, int pos) const {

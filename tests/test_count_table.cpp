@@ -1,4 +1,4 @@
-// Unit tests: robin-hood counting table.
+// Unit tests: control-byte group counting table.
 #include "hash/count_table.hpp"
 
 #include <gtest/gtest.h>
@@ -51,7 +51,7 @@ TEST(CountTable, EraseRemovesAndCompacts) {
   EXPECT_FALSE(t.find(50));
   EXPECT_FALSE(t.erase(50));
   EXPECT_EQ(t.size(), 99u);
-  // All other entries still reachable after backward-shift deletion.
+  // All other entries still reachable after the slot is freed.
   for (std::uint64_t k = 0; k < 100; ++k) {
     if (k == 50) continue;
     ASSERT_EQ(t.find(k), k + 1) << k;
@@ -65,6 +65,20 @@ TEST(CountTable, PruneBelowDropsLightEntries) {
   EXPECT_EQ(removed, 80u);  // counts 1 and 2
   EXPECT_EQ(t.size(), 120u);
   t.for_each([](std::uint64_t, std::uint32_t c) { EXPECT_GE(c, 3u); });
+}
+
+TEST(CountTable, PruneBelowSizesForSurvivors) {
+  // The pruned table must not keep the capacity that held the pruned
+  // entries: its bill equals that of a table built for the kept count.
+  CountTable<> t;
+  for (std::uint64_t k = 0; k < 10000; ++k) {
+    t.increment(k, k % 100 == 0 ? 5 : 1);
+  }
+  EXPECT_EQ(t.prune_below(2), 9900u);
+  EXPECT_EQ(t.size(), 100u);
+  EXPECT_EQ(t.memory_bytes(), CountTable<>(100).memory_bytes());
+  EXPECT_EQ(t.capacity(), CountTable<>(100).capacity());
+  for (std::uint64_t k = 0; k < 10000; k += 100) ASSERT_EQ(t.find(k), 5u);
 }
 
 TEST(CountTable, GrowsThroughManyInserts) {
@@ -131,7 +145,7 @@ TEST(CountTable, MemoryAccountingTracksCapacity) {
   const std::size_t empty_bytes = t.memory_bytes();
   for (std::uint64_t k = 0; k < 100000; ++k) t.increment(k);
   EXPECT_GT(t.memory_bytes(), empty_bytes);
-  // 13 bytes/slot (8 key + 4 count + 1 probe), load factor >= ~44%.
+  // 13 bytes/slot (8 key + 4 count + 1 control), load factor >= ~44%.
   EXPECT_LE(t.memory_bytes(), 100000u * 13u * 3u);
 }
 

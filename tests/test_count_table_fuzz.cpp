@@ -1,12 +1,13 @@
 // Differential fuzz for hash::CountTable against std::unordered_map.
 //
-// The robin-hood table (backward-shift deletion, 8-bit probe budget with
-// grow-and-retry, saturating counts, exact memory accounting) backs every
-// spectrum — and, since the filter exchange, the owner filters are built
-// straight from it. A silent divergence here corrupts corrections AND
-// filters, so the table is fuzzed op-for-op against the STL map under the
-// seeded-schedule regime of rtm_test_seed.hpp (RTM_TEST_SEED re-rolls the
-// op streams; failures print a one-line replay command).
+// The control-byte group table (SIMD tag probing, empty-or-tombstone
+// deletion, in-place tombstone rebuilds, saturating counts, exact memory
+// accounting) backs every spectrum — and, since the filter exchange, the
+// owner filters are built straight from it. A silent divergence here
+// corrupts corrections AND filters, so the table is fuzzed op-for-op
+// against the STL map under the seeded-schedule regime of rtm_test_seed.hpp
+// (RTM_TEST_SEED re-rolls the op streams; failures print a one-line replay
+// command).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,7 +59,7 @@ void expect_matches(const Table& table, const Model& model) {
 /// Runs `ops` random operations over `key_space` possible keys, checking
 /// the table against the model continuously (point checks per op, full
 /// sweep periodically). Small key spaces force re-increment and
-/// backward-shift churn; wide ones force growth.
+/// erase/re-insert churn; wide ones force growth.
 void fuzz_against_model(std::uint64_t seed, std::size_t ops,
                         std::uint64_t key_space, bool allow_prune) {
   std::mt19937_64 rng(rtm_test::derive(seed));
@@ -122,7 +123,7 @@ void fuzz_against_model(std::uint64_t seed, std::size_t ops,
 
 TEST(CountTableFuzz, DifferentialSmallKeySpace) {
   // 48 possible keys: every key is re-incremented, erased, and re-inserted
-  // many times, hammering the backward-shift deletion path.
+  // many times, hammering the deletion path.
   fuzz_against_model(/*seed=*/101, /*ops=*/6000, /*key_space=*/48,
                      /*allow_prune=*/false);
 }
@@ -153,7 +154,7 @@ TEST(CountTableFuzz, MemoryBytesExactAndMonotoneUnderInsertion) {
   for (int i = 0; i < 20000; ++i) {
     table.increment(rng());
     const std::size_t now = table.memory_bytes();
-    // Exact accounting: key + count + probe byte per slot, nothing hidden.
+    // Exact accounting: key + count + control byte per slot, nothing hidden.
     EXPECT_EQ(now, table.capacity() * (sizeof(std::uint64_t) +
                                        sizeof(std::uint32_t) +
                                        sizeof(std::uint8_t)));
@@ -163,50 +164,104 @@ TEST(CountTableFuzz, MemoryBytesExactAndMonotoneUnderInsertion) {
   EXPECT_GT(table.capacity(), 20000u);  // it did grow past the insertions
 }
 
-// Identity hash lets the test steer slot placement: keys that are equal in
-// the low bits all land in one robin-hood chain until a rehash widens the
-// mask enough to tell them apart.
+// Identity hash lets the test steer slot placement. The table takes a
+// slot's tag from hash bits 57-63 and its home group from bits 7 and up, so
+// keys of the form j << 32 (j < 2^25) share tag 0 and home group 0 at every
+// capacity up to 2^29 slots.
 struct IdentityHash {
   std::size_t operator()(std::uint64_t key) const noexcept {
     return static_cast<std::size_t>(key);
   }
 };
 
-TEST(CountTableFuzz, ProbeOverflowRegrowsUntilKeysSpread) {
-  // 400 keys of the form i<<16 collide perfectly while capacity <= 2^16,
-  // so insert #256 exhausts the 8-bit probe budget. increment() must grow
-  // and retry until the wider mask separates the keys — not loop, not drop.
-  CountTable<std::uint32_t, IdentityHash> table;
+using SteeredTable = CountTable<std::uint32_t, IdentityHash>;
+
+/// A key with tag 0 and home group `group` (< 2^25 groups); `j` tells keys
+/// of one group apart.
+constexpr std::uint64_t steered_key(std::uint64_t j, std::uint64_t group) {
+  return (j << 32) | (group << 7);
+}
+
+TEST(CountTableFuzz, SharedTagAndHomeGroupKeysAllFound) {
+  // 400 keys in one home group with one tag: every group probe matches
+  // every live slot, and the keys spill group after group along the
+  // triangular sequence. All must stay findable, and capacity must follow
+  // the 7/8 load policy alone — the same sequence as well-spread keys.
+  SteeredTable table;
+  CountTable<> spread;
   Model model;
-  for (std::uint64_t i = 0; i < 400; ++i) {
-    const std::uint64_t key = i << 16;
+  for (std::uint64_t j = 1; j <= 400; ++j) {
+    const std::uint64_t key = steered_key(j, 0);
     EXPECT_EQ(table.increment(key), 1u);
+    spread.increment(j);
     model_increment(model, key, 1);
+    ASSERT_EQ(table.capacity(), spread.capacity()) << "after " << j;
   }
-  EXPECT_GT(table.capacity(), std::size_t{1} << 16);
+  expect_matches(table, model);
+  EXPECT_FALSE(table.contains(steered_key(401, 0)));
+}
+
+TEST(CountTableFuzz, FifoChurnAtFixedSizeNeverGrows) {
+  // The add_remote pattern: a bounded cache that erases its oldest entry
+  // for every insert. Each run of 20 consecutive keys shares a home group
+  // (16 slots), so every home group fills and spills. The oldest keys sit
+  // in full groups that newer keys no longer start from, so erases leave
+  // tombstones that pile up until the in-place rebuild clears them. The
+  // live size is fixed, so capacity and the byte bill must never move.
+  SteeredTable table;
+  Model model;
+  std::vector<std::uint64_t> fifo;
+  constexpr std::uint64_t kLive = 100;
+  for (std::uint64_t j = 0; j < kLive; ++j) {
+    fifo.push_back(steered_key(j, j / 20 % 16));
+    table.increment(fifo.back(), 1);
+    model_increment(model, fifo.back(), 1);
+  }
+  const std::size_t cap = table.capacity();
+  const std::size_t bytes = table.memory_bytes();
+  std::size_t oldest = 0;
+  for (std::uint64_t j = kLive; j < 20000; ++j) {
+    ASSERT_TRUE(table.erase(fifo[oldest]));
+    model.erase(fifo[oldest]);
+    const std::uint64_t key = steered_key(j, j / 20 % 16);
+    fifo[oldest] = key;
+    oldest = (oldest + 1) % kLive;
+    const auto delta = static_cast<std::uint32_t>(1 + j % 7);
+    table.increment(key, delta);
+    model_increment(model, key, delta);
+    ASSERT_EQ(table.capacity(), cap) << "grew at op " << j;
+    ASSERT_EQ(table.memory_bytes(), bytes);
+    if (j % 97 == 0) expect_matches(table, model);
+  }
   expect_matches(table, model);
 }
 
-TEST(CountTableFuzz, BackwardShiftInLongChains) {
-  // Same trick at sub-overflow scale: ~200 perfectly-colliding keys with
-  // interleaved erases exercise backward-shift over long displaced runs.
-  std::mt19937_64 rng(rtm_test::derive(106));
-  CountTable<std::uint32_t, IdentityHash> table;
+TEST(CountTableFuzz, EraseFromFullGroupKeepsLaterKeysReachable) {
+  // 24 keys with one home group: 16 fill it, 8 probe past it into the next
+  // group. Erasing from the full group must leave a tombstone, not an empty
+  // slot, or the 8 later keys would become unreachable.
+  SteeredTable table(64);
+  ASSERT_EQ(table.capacity(), 128u);
   Model model;
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t i = 0; i < 200; ++i) keys.push_back(i << 20);
-  for (int round = 0; round < 6; ++round) {
-    std::shuffle(keys.begin(), keys.end(), rng);
-    for (const std::uint64_t key : keys) {
-      table.increment(key);
-      model_increment(model, key, 1);
-    }
-    std::shuffle(keys.begin(), keys.end(), rng);
-    for (std::size_t i = 0; i < keys.size() / 2; ++i) {
-      EXPECT_EQ(table.erase(keys[i]), model.erase(keys[i]) == 1);
-    }
-    expect_matches(table, model);
+  for (std::uint64_t j = 1; j <= 24; ++j) {
+    table.increment(steered_key(j, 0), static_cast<std::uint32_t>(j));
+    model_increment(model, steered_key(j, 0), static_cast<std::uint32_t>(j));
   }
+  for (std::uint64_t j = 1; j <= 16; ++j) {
+    ASSERT_TRUE(table.erase(steered_key(j, 0)));
+    model.erase(steered_key(j, 0));
+    expect_matches(table, model);
+    EXPECT_FALSE(table.contains(steered_key(j, 0)));
+  }
+  // The freed slots are reusable and every key is still counted once.
+  for (std::uint64_t j = 1; j <= 16; ++j) {
+    table.increment(steered_key(j, 0), 1);
+    table.increment(steered_key(j + 16, 0), 1);
+    model_increment(model, steered_key(j, 0), 1);
+    model_increment(model, steered_key(j + 16, 0), 1);
+  }
+  expect_matches(table, model);
+  EXPECT_EQ(table.capacity(), 128u);
 }
 
 TEST(CountTableFuzz, ClearReleasesAndRestarts) {
