@@ -51,8 +51,7 @@ int TileCorrector::try_fix_tile(std::string& bases,
                                 std::span<const seq::qual_t> quals,
                                 int tile_pos,
                                 seq::tile_id_t tile, SpectrumView& spectrum,
-                                std::uint64_t degraded_before,
-                                RejectedCandidates* rejected) const {
+                                std::uint64_t degraded_before) const {
   TilePositions picked{};
   const int npicked = pick_positions(
       quals.subspan(static_cast<std::size_t>(tile_pos),
@@ -73,18 +72,8 @@ int TileCorrector::try_fix_tile(std::string& bases,
     }
   };
 
-  // Candidates are numbered in enumeration order, the memo's bit index.
-  std::size_t ordinal = 0;
   auto evaluate = [&](Candidate c) {
-    const std::size_t i = ordinal++;
-    const bool memo = rejected != nullptr && i < rejected->size();
-    if (memo && rejected->test(i)) return;
-    const std::uint64_t before = memo ? spectrum.degraded_lookups() : 0;
-    if (acceptable(c.tile, spectrum, c.count)) {
-      consider(c);
-    } else if (memo && spectrum.degraded_lookups() == before) {
-      rejected->set(i);
-    }
+    if (acceptable(c.tile, spectrum, c.count)) consider(c);
   };
 
   // Hamming distance 1: one substitution at one chosen position.
@@ -152,7 +141,7 @@ bool TileCorrector::advance(std::string& bases,
   assert(quals.size() == bases.size());
   const seq::KmerCodec& tc = tile_codec_.as_kmer_codec();
   ReadCorrection& result = cursor.result;
-  for (;; ++cursor.tile, cursor.rejected.reset()) {
+  for (;; ++cursor.tile) {
     const int pos =
         tile_codec_.tile_position(static_cast<int>(bases.size()), cursor.tile);
     if (pos < 0 || result.substitutions >= params_.max_corrections_per_read) {
@@ -160,6 +149,7 @@ bool TileCorrector::advance(std::string& bases,
     }
     const seq::tile_id_t tile =
         tc.pack(std::string_view(bases).substr(static_cast<std::size_t>(pos)));
+    spectrum.begin_tile_decision();
     // Snapshot the degradation counter BEFORE the gate lookup: a degraded
     // gate can make a trusted tile look untrusted, so the whole decision
     // (gate + candidate evaluation) must be covered by the guard.
@@ -168,8 +158,7 @@ bool TileCorrector::advance(std::string& bases,
     const int applied =
         spectrum.degraded_lookups() != degraded_before
             ? 0
-            : try_fix_tile(bases, quals, pos, tile, spectrum, degraded_before,
-                           hold_degraded ? &cursor.rejected : nullptr);
+            : try_fix_tile(bases, quals, pos, tile, spectrum, degraded_before);
     const bool degraded = spectrum.degraded_lookups() != degraded_before;
     // A degraded decision never changes the read, so holding it leaves
     // nothing to undo.

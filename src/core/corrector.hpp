@@ -20,7 +20,6 @@
 // bit-identical corrected reads — the property the integration tests pin.
 
 #include <array>
-#include <bitset>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -65,34 +64,23 @@ class TileCorrector {
   const CorrectorParams& params() const noexcept { return params_; }
   const seq::TileCodec& tile_codec() const noexcept { return tile_codec_; }
 
-  /// Candidates of one tile search, by enumeration order (Hamming 1, then
-  /// Hamming 2), that a held tile has proven unacceptable.
-  using RejectedCandidates = std::bitset<256>;
-
   /// A read part-way through correction: the index of the next tile to
-  /// decide, the outcome of the tiles decided so far and, while the cursor
-  /// is held on a tile, that tile's rejected candidates.
+  /// decide and the outcome of the tiles decided so far.
   struct Cursor {
     std::size_t tile = 0;
     ReadCorrection result;
-    /// Bit i: candidate i of the held tile failed acceptable() with no
-    /// degraded lookup during the call, so asking again cannot change the
-    /// answer. Cleared when the cursor moves to the next tile. Candidates
-    /// past the last bit are evaluated every time.
-    RejectedCandidates rejected;
   };
 
   /// Decides the tiles of a read (`bases`, corrected in place, and its
   /// `quals`) from `cursor` on. Returns true once the read is finished.
-  /// With `hold_degraded`, a tile decision that saw a degraded lookup is
-  /// not taken: the bases and the cursor stay on that tile and advance()
-  /// returns false, so a caller that can fill in the missing evidence
-  /// decides the tile again later (the chunk wavefront of
-  /// parallel::RemoteSpectrumView). The next call then skips the
-  /// candidates the cursor remembers as rejected: an unacceptable
-  /// candidate never reaches the decision, so the outcome is the same and
-  /// only the repeated lookups go. Without `hold_degraded` the tile is
-  /// counted degraded and left as it is, and the memo is not used.
+  /// Each tile decision starts with SpectrumView::begin_tile_decision()
+  /// and then its gate lookup. With `hold_degraded`, a decision that saw a
+  /// degraded lookup is not taken: the bases and the cursor stay on that
+  /// tile and advance() returns false, so a caller that can fill in the
+  /// missing evidence decides the tile again, from its gate, later (the
+  /// chunk wavefront of parallel::RemoteSpectrumView). The lookups since
+  /// the last begin_tile_decision() then belong to the held decision.
+  /// Without `hold_degraded` the tile is counted degraded and left as it is.
   bool advance(std::string& bases, std::span<const seq::qual_t> quals,
                Cursor& cursor, SpectrumView& spectrum,
                bool hold_degraded) const;
@@ -120,13 +108,10 @@ class TileCorrector {
   /// the spectrum's degraded_lookups() value from before the tile's gate
   /// lookup: if any lookup degraded since then, the candidate evidence is
   /// unreliable and no substitution is applied. The outcome is then already
-  /// known, so the search stops after the Hamming-1 phase. A non-null
-  /// `rejected` is the held tile's memo: its candidates are skipped and
-  /// newly proven ones recorded.
+  /// known, so the search stops after the Hamming-1 phase.
   int try_fix_tile(std::string& bases, std::span<const seq::qual_t> quals,
                    int tile_pos, seq::tile_id_t tile, SpectrumView& spectrum,
-                   std::uint64_t degraded_before,
-                   RejectedCandidates* rejected) const;
+                   std::uint64_t degraded_before) const;
 
   /// True when `tile` is supported: tile count above threshold and both
   /// constituent k-mers solid. Returns the tile count through `count`.

@@ -46,6 +46,12 @@ class SpectrumView {
   /// snapshots this around every tile decision: a position whose evidence
   /// involved a degraded lookup is skipped, never corrected on a guess.
   virtual std::uint64_t degraded_lookups() const { return 0; }
+
+  /// Called by TileCorrector::advance before the gate lookup of each tile
+  /// decision, so a view can tell which lookups belong to which decision
+  /// (the chunk wavefront counts only the decisions it takes). No-op by
+  /// default.
+  virtual void begin_tile_decision() {}
 };
 
 /// Both spectra in local memory, with construction helpers.

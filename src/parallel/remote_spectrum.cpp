@@ -1,6 +1,7 @@
 #include "parallel/remote_spectrum.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 
 #include "hash/hashing.hpp"
@@ -9,11 +10,29 @@
 
 namespace reptile::parallel {
 
+namespace {
+
+/// Adds `n` lookups of `kind`, `misses` of them absent, to `s`.
+void add_lookups(LookupKind kind, std::uint64_t n, std::uint64_t misses,
+                 core::LookupStats& s) {
+  if (kind == LookupKind::kKmer) {
+    s.kmer_lookups += n;
+    s.kmer_misses += misses;
+  } else {
+    s.tile_lookups += n;
+    s.tile_misses += misses;
+  }
+}
+
+}  // namespace
+
 /// The wavefront's private view: answers from the local links of the
 /// chain and the chunk cache, queues every ID only its owner knows, and
 /// reports that lookup degraded, so the corrector holds the read on the
-/// tile until the next round has fetched it. Counts nothing in the view's
-/// stats: the real pass does that.
+/// tile until the next round has fetched it. It tallies every lookup it
+/// answers, marks the tally where each tile decision begins, and rolls
+/// back to the mark when a read is held (drop_held()), so the tally holds
+/// only the decisions taken; commit() adds it to the view's counters.
 class RemoteSpectrumView::Probe final : public core::SpectrumView {
  public:
   explicit Probe(RemoteSpectrumView& view) : view_(&view) {}
@@ -26,25 +45,84 @@ class RemoteSpectrumView::Probe final : public core::SpectrumView {
     return lookup(view_->spectrum_->extractor().canon_tile(id),
                   LookupKind::kTile);
   }
-  const core::LookupStats& stats() const override { return stats_; }
+  const core::LookupStats& stats() const override { return view_->stats_; }
   std::uint64_t degraded_lookups() const override { return queued_; }
+
+  void begin_tile_decision() override { taken_ = tally_; }
+
+  /// Drops the lookups since the last decision began: a held decision's,
+  /// or round 0's gate fetch.
+  void drop_held() { tally_ = taken_; }
 
   /// IDs queued since construction (repeats included).
   std::uint64_t queued() const noexcept { return queued_; }
 
+  /// Adds the lookups of the decisions taken to the view's counters.
+  void commit() const {
+    for (const LookupKind kind : kLookupKinds) {
+      const auto k = static_cast<std::size_t>(kind);
+      std::uint64_t n = 0;
+      for (const std::uint64_t c : tally_.answered[k]) n += c;
+      add_lookups(kind, n, tally_.misses[k], view_->stats_);
+    }
+    for (std::size_t link = 0; link < kLinks; ++link) {
+      add_tier(static_cast<Link>(link),
+               tally_.answered[0][link] + tally_.answered[1][link],
+               view_->remote_);
+    }
+  }
+
  private:
+  /// Every link but the wire.
+  static constexpr std::size_t kLinks = static_cast<std::size_t>(Link::kRemote);
+
+  /// Lookups answered per kind and link, and the misses among them.
+  struct Tally {
+    std::array<std::array<std::uint64_t, kLinks>, 2> answered{};
+    std::array<std::uint64_t, 2> misses{};
+  };
+
   std::uint32_t lookup(std::uint64_t id, LookupKind kind) {
     const Resolution r = view_->resolve(id, kind);
-    if (r.link != Link::kRemote) return r.count;
-    view_->enqueue(r, id, kind);
-    ++queued_;
-    return 0;
+    if (r.link == Link::kRemote) {
+      view_->enqueue(r, id, kind);
+      ++queued_;
+      return 0;
+    }
+    const auto k = static_cast<std::size_t>(kind);
+    ++tally_.answered[k][static_cast<std::size_t>(r.link)];
+    tally_.misses[k] += r.count == 0 ? 1 : 0;
+    return r.count;
   }
 
   RemoteSpectrumView* view_;
-  core::LookupStats stats_;
+  Tally tally_;
+  /// The tally of the decisions taken before the current one.
+  Tally taken_;
   std::uint64_t queued_ = 0;
 };
+
+void RemoteSpectrumView::add_tier(Link link, std::uint64_t n,
+                                  RemoteLookupStats& remote) {
+  switch (link) {
+    case Link::kLocal:
+      break;
+    case Link::kGroup:
+      remote.group_lookups += n;
+      break;
+    case Link::kReadsTable:
+      remote.reads_table_hits += n;
+      break;
+    case Link::kFilter:
+      remote.filter_neg_hits += n;
+      break;
+    case Link::kCache:
+      remote.prefetch_hits += n;
+      break;
+    case Link::kRemote:
+      break;  // counted by remote_lookup()
+  }
+}
 
 RemoteSpectrumView::RemoteSpectrumView(rtm::Comm& comm, DistSpectrum& spectrum,
                                        int worker_slot,
@@ -192,37 +270,69 @@ void RemoteSpectrumView::charge_wavefront() {
   wave_charge_.set(bytes);
 }
 
-void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
-  if (!heur_.batch_lookups) return;
+bool RemoteSpectrumView::start_chunk() {
+  if (!heur_.batch_lookups) return false;
   cache_.clear();
   // Nothing to fetch when every owner's tables are local: one rank, both
   // spectra replicated, or one replication group spanning the world.
-  const int np = comm_->size();
   bool any_remote = false;
-  for (int owner = 0; owner < np && !any_remote; ++owner) {
+  for (int owner = 0; owner < comm_->size() && !any_remote; ++owner) {
     any_remote =
         owner != comm_->rank() && !spectrum_->owner_in_my_group(owner);
   }
-  if (!any_remote || heur_.fully_replicated()) return;
+  return any_remote && !heur_.fully_replicated();
+}
 
-  obs::SpanScope span("lookup", "batch_prefetch");
-  const std::int64_t start = obs::Tracer::instance().now_ns();
-  buckets_.resize(2 * static_cast<std::size_t>(np));
+void RemoteSpectrumView::correct_chunk(seq::ReadBatch& batch,
+                                       std::vector<core::ReadCorrection>& out) {
+  if (!start_chunk()) {
+    for (seq::Read& r : batch) out.push_back(corrector_.correct(r, *this));
+    return;
+  }
+  run_wavefront(
+      batch, [&batch](std::size_t i) -> std::string& { return batch[i].bases; },
+      /*commit=*/true);
+  // An early end leaves reads held on a tile: each continues from there on
+  // this view, in read order, exactly as a second pass would reach it.
+  for (const std::uint32_t i : active_) {
+    corrector_.advance(batch[i].bases, batch[i].quals, cursors_[i], *this,
+                       /*hold_degraded=*/false);
+  }
+  for (const core::TileCorrector::Cursor& c : cursors_) {
+    out.push_back(c.result);
+  }
+}
+
+void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
+  if (!start_chunk()) return;
   wave_bases_.resize(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     wave_bases_[i] = batch[i].bases;
   }
+  run_wavefront(
+      batch, [this](std::size_t i) -> std::string& { return wave_bases_[i]; },
+      /*commit=*/false);
+}
+
+template <class BasesOf>
+void RemoteSpectrumView::run_wavefront(const seq::ReadBatch& batch,
+                                       const BasesOf& bases_of, bool commit) {
+  obs::SpanScope span("lookup", "batch_prefetch");
+  const std::int64_t start = obs::Tracer::instance().now_ns();
+  buckets_.resize(2 * static_cast<std::size_t>(comm_->size()));
   cursors_.assign(batch.size(), {});
   active_.resize(batch.size());
   for (std::uint32_t i = 0; i < active_.size(); ++i) active_[i] = i;
   Probe probe(*this);
 
   // Round 0: every read's gate tiles, fetched before any read advances.
+  // These lookups belong to no decision, so none of them counts.
   for (const seq::Read& r : batch) {
     tile_scratch_.clear();
     spectrum_->extractor().tile_codec().extract(r.bases, tile_scratch_);
     for (const seq::tile_id_t id : tile_scratch_) probe.tile_count(id);
   }
+  probe.drop_held();
   // Then rounds of: exchange what was queued, advance every unfinished
   // read until it finishes or blocks on an ID it had to queue.
   std::uint64_t rounds = 0;
@@ -235,14 +345,16 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
     }
     std::size_t kept = 0;
     for (const std::uint32_t i : active_) {
-      if (!corrector_.advance(wave_bases_[i], batch[i].quals, cursors_[i],
+      if (!corrector_.advance(bases_of(i), batch[i].quals, cursors_[i],
                               probe, /*hold_degraded=*/true)) {
+        probe.drop_held();
         active_[kept++] = i;
       }
     }
     active_.resize(kept);
     if (probe.queued() == exchanged) break;  // every read finished
   }
+  if (commit) probe.commit();
   charge_wavefront();
   remote_.wavefront_rounds += rounds;
   span.arg("rounds", rounds);
@@ -473,42 +585,24 @@ std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
 
 std::uint32_t RemoteSpectrumView::lookup(std::uint64_t id, LookupKind kind) {
   const Resolution r = resolve(id, kind);
-  switch (r.link) {
-    case Link::kLocal:
-      return r.count;
-    case Link::kGroup:
-      ++remote_.group_lookups;
-      return r.count;
-    case Link::kReadsTable:
-      ++remote_.reads_table_hits;
-      return r.count;
-    case Link::kFilter:
-      ++remote_.filter_neg_hits;
-      return 0;
-    case Link::kCache:
-      ++remote_.prefetch_hits;
-      return r.count;
-    case Link::kRemote:
-      break;
+  if (r.link != Link::kRemote) {
+    add_lookups(kind, 1, r.count == 0 ? 1 : 0, stats_);
+    add_tier(r.link, 1, remote_);
+    return r.count;
   }
   if (heur_.batch_lookups) ++remote_.prefetch_misses;
-  return remote_lookup(r.owner, id, kind, r.filter_said_maybe);
+  const std::uint32_t count =
+      remote_lookup(r.owner, id, kind, r.filter_said_maybe);
+  add_lookups(kind, 1, count == 0 ? 1 : 0, stats_);
+  return count;
 }
 
 std::uint32_t RemoteSpectrumView::kmer_count(seq::kmer_id_t id) {
-  ++stats_.kmer_lookups;
-  const std::uint32_t c =
-      lookup(spectrum_->extractor().canon_kmer(id), LookupKind::kKmer);
-  if (c == 0) ++stats_.kmer_misses;
-  return c;
+  return lookup(spectrum_->extractor().canon_kmer(id), LookupKind::kKmer);
 }
 
 std::uint32_t RemoteSpectrumView::tile_count(seq::tile_id_t id) {
-  ++stats_.tile_lookups;
-  const std::uint32_t c =
-      lookup(spectrum_->extractor().canon_tile(id), LookupKind::kTile);
-  if (c == 0) ++stats_.tile_misses;
-  return c;
+  return lookup(spectrum_->extractor().canon_tile(id), LookupKind::kTile);
 }
 
 }  // namespace reptile::parallel

@@ -29,8 +29,8 @@
 //                               would reply -1 — and answers locally;
 //                               "maybe" falls through and pays the wire)
 //   6. chunk cache             (batch_lookups: counts of the chunk being
-//                               corrected, fetched ahead of correction by
-//                               the chunk wavefront; counts here are
+//                               corrected, fetched by the chunk
+//                               wavefront's rounds; counts here are
 //                               verbatim remote replies, so hits are exact)
 //   7. remote request/reply    (blocking; reply -1 maps to count 0);
 //      with add_remote the reply is cached into the reads table
@@ -42,18 +42,22 @@
 // suppression, resend under the same seq, and abandonment after
 // RetryPolicy::max_retries (DESIGN.md §4d).
 //
-// The chunk wavefront (prefetch_chunk) resolves a chunk's remote lookups
-// in rounds before the chunk is corrected. Round 0 fetches every remote
-// gate tile of the chunk's reads. Each later round advances every
-// unfinished read with the real TileCorrector against a private probe view:
-// the probe answers from links 1-6, queues every ID only the owner knows,
-// and reports that lookup degraded, which holds the read on its tile.
-// Between rounds the queued IDs are sorted, deduplicated and sent as one
-// vectored request per owner per kind; the replies fill the chunk cache.
-// When no read queues anything, the wavefront stops, and the real pass
-// makes exactly the lookups the probe saw, all of them answered locally.
-// An abandoned batch or a full cache ends the wavefront early; the
-// remaining lookups then take the scalar path (DESIGN.md §4b).
+// The chunk wavefront (correct_chunk) corrects a chunk in bulk-synchronous
+// rounds. Round 0 fetches every remote gate tile of the chunk's reads. Each
+// later round advances every unfinished read, in place, with the real
+// TileCorrector against a private probe view: the probe answers from links
+// 1-6, queues every ID only the owner knows, and reports that lookup
+// degraded, which holds the read on its tile. Between rounds the queued IDs
+// are sorted, deduplicated and sent as one vectored request per owner per
+// kind; the replies fill the chunk cache. The probe counts the lookups of
+// every tile decision it takes exactly as this view would, and drops those
+// of a held one. When no read queues anything, every read is finished and
+// its cursor holds the outcome: the chunk is corrected in one pass. An
+// abandoned batch or a full cache ends the wavefront early; each
+// unfinished read then continues from its held tile on this view, and the
+// lookups left take the scalar path (DESIGN.md §4b). prefetch_chunk runs
+// the same wavefront over copies of the bases and counts nothing, for
+// callers that correct the chunk themselves afterwards.
 
 #include <cstddef>
 #include <cstdint>
@@ -103,10 +107,20 @@ class RemoteSpectrumView final : public core::SpectrumView {
                      const Heuristics* heur_override = nullptr,
                      const core::CorrectorParams* params_override = nullptr);
 
-  /// The chunk wavefront (batch_lookups heuristic; no-op otherwise): fills
-  /// the chunk cache with every remote count the correction of `batch`
-  /// will look up, in rounds of one vectored request per owner per kind
-  /// (see the file comment). The cache is cleared first and holds at most
+  /// Corrects every read of `batch` in place and appends one
+  /// ReadCorrection per read to `out`, with the corrector of the job's
+  /// parameters. With batch_lookups and a remote owner this is the chunk
+  /// wavefront (see the file comment); otherwise each read is corrected
+  /// through this view. Either way the bases, the outcomes and every
+  /// counter equal prefetch_chunk(batch) followed by correct() for each
+  /// read (DESIGN.md §4b names the one add_remote exception).
+  void correct_chunk(seq::ReadBatch& batch,
+                     std::vector<core::ReadCorrection>& out);
+
+  /// The chunk wavefront over copies of `batch`'s bases (batch_lookups
+  /// heuristic; no-op otherwise): fills the chunk cache with every remote
+  /// count the correction of `batch` will look up, and counts no lookup.
+  /// The cache is cleared first and holds at most
   /// core::CorrectorParams::prefetch_capacity IDs. Call once per chunk,
   /// before correcting its reads with the same parameters.
   void prefetch_chunk(const seq::ReadBatch& batch);
@@ -129,8 +143,8 @@ class RemoteSpectrumView final : public core::SpectrumView {
   double comm_seconds() const noexcept { return comm_wait_.seconds(); }
 
   /// Bytes held by the chunk cache and the wavefront's buffers (owner
-  /// buckets, copies of the reads' bases, cursors), all charged to the
-  /// remote_cache ledger account.
+  /// buckets, cursors and prefetch_chunk's copies of the reads' bases),
+  /// all charged to the remote_cache ledger account.
   std::size_t memory_bytes() const noexcept {
     return cache_.memory_bytes() +
            static_cast<std::size_t>(wave_charge_.recorded());
@@ -154,6 +168,9 @@ class RemoteSpectrumView final : public core::SpectrumView {
 
   /// Links 1-6 of the lookup chain for a canonical ID; counts nothing.
   Resolution resolve(std::uint64_t id, LookupKind kind) const;
+
+  /// Adds `n` lookups answered by `link` to its tier counter in `remote`.
+  static void add_tier(Link link, std::uint64_t n, RemoteLookupStats& remote);
 
   std::uint32_t lookup(std::uint64_t id, LookupKind kind);
   /// `filter_said_maybe` marks a lookup the peer filter let through, so an
@@ -180,6 +197,19 @@ class RemoteSpectrumView final : public core::SpectrumView {
 
   /// Queues a remote-needing ID for the next round.
   void enqueue(const Resolution& r, std::uint64_t id, LookupKind kind);
+
+  /// Clears the chunk cache (batch_lookups) and returns true when the chunk
+  /// needs a wavefront: batch_lookups is on and some owner's tables are
+  /// not local.
+  bool start_chunk();
+
+  /// Runs the wavefront over `batch`, advancing `bases_of(i)` in place of
+  /// read i's bases (see the file comment). With `commit`, the lookups of
+  /// every tile decision taken are counted. Leaves each read's cursor in
+  /// cursors_ and the reads an early end left unfinished in active_.
+  template <class BasesOf>
+  void run_wavefront(const seq::ReadBatch& batch, const BasesOf& bases_of,
+                     bool commit);
 
   /// One wavefront exchange: sorts and dedupes every bucket, sends each
   /// non-empty one as a vectored request, waits for every reply and files
@@ -226,7 +256,7 @@ class RemoteSpectrumView final : public core::SpectrumView {
   // Wavefront buffers, reused across rounds and chunks.
   /// Per (kind, owner): the IDs queued this round.
   std::vector<std::vector<std::uint64_t>> buckets_;
-  /// Copies of the chunk's bases, corrected by the probe pass.
+  /// prefetch_chunk's copies of the chunk's bases, advanced by the probe.
   std::vector<std::string> wave_bases_;
   std::vector<core::TileCorrector::Cursor> cursors_;
   /// Indices of the reads still unfinished.

@@ -33,8 +33,9 @@ void DistSpectrumModel::prepare_correction(RankContext& ctx) {
 
 /// One worker's lookup surface: a RemoteSpectrumView with the worker's own
 /// reply tags (slot) and, with several workers sharing add_remote, the
-/// thread-safe chunk-local caching variant. prefetch_chunk runs the view's
-/// chunk wavefront.
+/// thread-safe chunk-local caching variant. correct_chunk runs the view's
+/// one-pass chunk wavefront; prefetch_chunk its copy-only form, for callers
+/// that compose the default correct_chunk.
 class DistSpectrumModel::Handle final : public WorkerHandle {
  public:
   Handle(rtm::Comm& comm, parallel::DistSpectrum& spectrum, int slot,
@@ -45,6 +46,13 @@ class DistSpectrumModel::Handle final : public WorkerHandle {
               &job_params) {}
 
   core::SpectrumView& view() override { return view_; }
+
+  /// The view corrects with the job's parameters, which are `corrector`'s.
+  void correct_chunk(const core::TileCorrector& /*corrector*/,
+                     seq::ReadBatch& batch,
+                     std::vector<core::ReadCorrection>& out) override {
+    view_.correct_chunk(batch, out);
+  }
 
   void prefetch_chunk(const seq::ReadBatch& batch) override {
     view_.prefetch_chunk(batch);

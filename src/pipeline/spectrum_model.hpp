@@ -14,7 +14,9 @@
 #include <cstddef>
 #include <memory>
 #include <string_view>
+#include <vector>
 
+#include "core/corrector.hpp"
 #include "core/spectrum.hpp"
 #include "seq/read.hpp"
 #include "stats/phase_timeline.hpp"
@@ -32,10 +34,23 @@ class WorkerHandle {
   /// The SpectrumView the corrector runs against.
   virtual core::SpectrumView& view() = 0;
 
-  /// batch_lookups hook: resolve the chunk's remote lookups ahead of
-  /// correction (the distributed model's chunk wavefront), so the
-  /// corrector's pass over the chunk answers them locally. No-op for local
-  /// models.
+  /// Corrects `batch` in place with `corrector` and appends one
+  /// ReadCorrection per read to `out`. The default is prefetch_chunk(batch)
+  /// and then `corrector.correct(r, view())` for each read. The distributed
+  /// handle runs its view's one-pass chunk wavefront instead, whose final
+  /// tile decisions are the correction; bases, outcomes and counters are
+  /// the same either way.
+  virtual void correct_chunk(const core::TileCorrector& corrector,
+                             seq::ReadBatch& batch,
+                             std::vector<core::ReadCorrection>& out) {
+    prefetch_chunk(batch);
+    for (seq::Read& r : batch) out.push_back(corrector.correct(r, view()));
+  }
+
+  /// batch_lookups hook of the default correct_chunk: resolve the chunk's
+  /// remote lookups ahead of correction (the distributed model's chunk
+  /// wavefront over copies of the bases), so the corrector's pass over the
+  /// chunk answers them locally. No-op for local models.
   virtual void prefetch_chunk(const seq::ReadBatch& batch) {
     (void)batch;
   }

@@ -191,6 +191,7 @@ void CorrectStage::run(RankContext& ctx) {
     stats::PhaseTimeline& acc = worker_acc[static_cast<std::size_t>(slot)];
     auto& corrected = per_worker[static_cast<std::size_t>(slot)];
     seq::ReadBatch local_batch;
+    std::vector<core::ReadCorrection> outcomes;
     while (true) {
       {
         std::lock_guard lock(stream_mutex);
@@ -208,11 +209,10 @@ void CorrectStage::run(RankContext& ctx) {
       }
       obs::SpanScope span("chunk", "chunk:correct");
       span.arg("reads", local_batch.size());
-      handle->prefetch_chunk(local_batch);
-      for (seq::Read& r : local_batch) {
-        tally(acc, corrector.correct(r, handle->view()));
-        corrected.push_back(std::move(r));
-      }
+      outcomes.clear();
+      handle->correct_chunk(corrector, local_batch, outcomes);
+      for (const core::ReadCorrection& rc : outcomes) tally(acc, rc);
+      for (seq::Read& r : local_batch) corrected.push_back(std::move(r));
     }
     handle->harvest(acc);
   };

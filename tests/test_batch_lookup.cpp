@@ -1,13 +1,16 @@
 // Batched remote lookups (batch_lookups, the chunk wavefront): wire format,
 // the service's vectored reply path, identity of the wavefront-cached
-// correction with the sequential baseline, multi-worker reply routing, and
-// the bounded caches' eviction behaviour. The full identity sweep is in
+// correction with the sequential baseline, multi-worker reply routing, the
+// one-pass chunk correction against the two-pass composition, and the
+// bounded caches' eviction behaviour. The full identity sweep is in
 // test_wavefront.cpp.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "core/corrector.hpp"
 #include "core/pipeline.hpp"
@@ -490,6 +493,112 @@ TEST(BatchedLookups, FewerMessagesAndLargerPayloadsThanScalar) {
   EXPECT_LT(batched_msgs, scalar_msgs);
   EXPECT_GT(batched_largest, scalar_largest);
 }
+
+// ---- one-pass chunk correction --------------------------------------------
+
+/// Expects every counter of `a` and `b` to be equal.
+template <class S>
+void expect_same_counters(const S& a, const S& b) {
+  stats::for_each_counter(
+      [](const auto& row, const auto& x, const auto& y) {
+        EXPECT_EQ(x, y) << row.column;
+      },
+      a, b);
+}
+
+using ChunkCase = std::tuple<bool, bool>;  // read_kmers, filter_lookups
+
+class OnePassChunk : public ::testing::TestWithParam<ChunkCase> {};
+
+TEST_P(OnePassChunk, EqualsPrefetchThenCorrect) {
+  // correct_chunk lets the wavefront's final tile decisions stand as the
+  // correction. It must equal the two-pass composition the tracing
+  // decorators still run: prefetch_chunk, then correct() for each read,
+  // each way through a fresh view on the same ranks. A second comparison
+  // cuts prefetch_capacity to 3/4 of what the chunk fetches, so the
+  // wavefront ends early and held reads continue on the view.
+  const auto [read_kmers, filter] = GetParam();
+  const core::CorrectorParams p = test_params();
+  Heuristics h;
+  h.read_kmers = read_kmers;
+  h.filter_lookups = filter;
+  const auto& all = dataset().reads;
+  const seq::ReadBatch batch(all.begin(), all.begin() + 256);
+
+  rtm::run_world({2, 1}, [&](rtm::Comm& comm) {
+    DistSpectrum spectrum(p, h, comm);
+    for (std::size_t i = static_cast<std::size_t>(comm.rank());
+         i < all.size(); i += 2) {
+      spectrum.add_read(all[i].bases);
+    }
+    spectrum.exchange_to_owners();
+    spectrum.prune();
+    if (read_kmers) {
+      spectrum.fetch_global_reads_tables();
+    } else {
+      spectrum.drop_reads_tables();
+    }
+    spectrum.exchange_filters(RetryPolicy{});
+    comm.reset_done();
+    LookupService service(comm, spectrum);
+    std::thread server([&service] { service.serve(); });
+    // Corrects the batch both ways with `params`; returns the two-pass
+    // view's remote counters.
+    const auto compare = [&](const core::CorrectorParams& params) {
+      seq::ReadBatch one_pass = batch;
+      std::vector<core::ReadCorrection> got;
+      RemoteSpectrumView a(comm, spectrum, 0, false, {}, nullptr, &params);
+      a.correct_chunk(one_pass, got);
+
+      seq::ReadBatch two_pass = batch;
+      std::vector<core::ReadCorrection> want;
+      RemoteSpectrumView b(comm, spectrum, 0, false, {}, nullptr, &params);
+      b.prefetch_chunk(two_pass);
+      const core::TileCorrector corrector(params);
+      for (seq::Read& r : two_pass) want.push_back(corrector.correct(r, b));
+
+      EXPECT_EQ(got.size(), want.size());
+      std::size_t changed = 0;
+      for (std::size_t i = 0; i < want.size() && i < got.size(); ++i) {
+        EXPECT_EQ(one_pass[i].bases, two_pass[i].bases) << "read " << i;
+        EXPECT_EQ(got[i].substitutions, want[i].substitutions) << "read " << i;
+        EXPECT_EQ(got[i].tiles_untrusted, want[i].tiles_untrusted)
+            << "read " << i;
+        EXPECT_EQ(got[i].tiles_fixed, want[i].tiles_fixed) << "read " << i;
+        EXPECT_EQ(got[i].tiles_degraded, want[i].tiles_degraded)
+            << "read " << i;
+        changed += want[i].changed() ? 1 : 0;
+      }
+      EXPECT_GT(changed, 0u);
+      expect_same_counters(a.stats(), b.stats());
+      expect_same_counters(a.remote_stats(), b.remote_stats());
+      EXPECT_GT(b.remote_stats().prefetch_hits, 0u);
+      return b.remote_stats();
+    };
+    if (comm.rank() == 1) {
+      const RemoteLookupStats full = compare(p);
+      EXPECT_EQ(full.remote_lookups(), 0u);
+      core::CorrectorParams early = p;
+      early.prefetch_capacity = full.batch_ids() * 3 / 4;
+      SCOPED_TRACE("prefetch_capacity " +
+                   std::to_string(early.prefetch_capacity));
+      const RemoteLookupStats ended = compare(early);
+      // Reads advanced before the end, and lookups were left for the wire.
+      EXPECT_GE(ended.wavefront_rounds, 2u);
+      EXPECT_GT(ended.remote_lookups(), 0u);
+    }
+    comm.signal_done();
+    server.join();
+    comm.barrier();
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Chains, OnePassChunk, ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ChunkCase>& info) {
+      return std::string(std::get<0>(info.param) ? "read_kmers" : "no_reads") +
+             (std::get<1>(info.param) ? "_filter" : "_no_filter");
+    });
 
 // ---- bounded caches --------------------------------------------------------
 

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <optional>
 #include <random>
 #include <set>
 #include <span>
@@ -514,21 +513,23 @@ class WithholdingView final : public SpectrumView {
 
   void next_round() { ++round_; }
 
-  /// One lookup: its kind, ID, and the count it got unless withheld.
-  struct Ask {
-    bool tile;
-    std::uint64_t id;
-    bool withheld;
-    std::uint32_t count;
-  };
-  /// Every lookup in order, for a test to inspect and clear.
-  std::vector<Ask> asks;
+  /// One lookup: its kind (true = tile) and ID.
+  using Ask = std::pair<bool, std::uint64_t>;
+  /// The lookups of the decisions taken, in order, and of the current one.
+  std::vector<Ask> taken, pending;
+
+  void begin_tile_decision() override { take(); }
+  /// The current decision was taken: its lookups move to `taken`.
+  void take() {
+    taken.insert(taken.end(), pending.begin(), pending.end());
+    pending.clear();
+  }
 
  private:
   std::uint32_t answer(std::uint64_t id, bool tile, std::uint32_t count) {
+    pending.push_back({tile, id});
     const auto asked = first_asked_.try_emplace({tile, id}, round_).first;
     const bool withheld = round_ - asked->second < rounds_;
-    asks.push_back({tile, id, withheld, count});
     if (!withheld) return count;
     ++degraded_;
     return 0;
@@ -588,94 +589,61 @@ TEST(CorrectorCursor, ResumedCorrectionEqualsOneShot) {
   }
 }
 
-TEST(CorrectorCursor, HeldTileSkipsRejectedCandidates) {
-  // A held tile remembers the candidates it proved unacceptable (every
-  // lookup answered, one below threshold); the next advance() on that tile
-  // must not ask for them again, and the result still equals correct().
+TEST(CorrectorCursor, TakenDecisionsMakeTheOneShotLookups) {
+  // Every tile decision begins with begin_tile_decision(). Dropping the
+  // lookups of each held decision and keeping the rest leaves, per read,
+  // exactly the lookups of correct(), in order: what lets the chunk
+  // wavefront count its probe's lookups as the correction's.
   for (const int rounds : {1, 3}) {
     CorrectorParams p = tiny();
-    seq::DatasetSpec spec{"memo", 300, 50, 600};
+    seq::DatasetSpec spec{"taken", 300, 50, 600};
     seq::ErrorModelParams errors;
     errors.error_rate_start = 0.01;
     errors.error_rate_end = 0.03;
-    const auto ds = seq::SyntheticDataset::generate(spec, errors, 5);
+    const auto ds = seq::SyntheticDataset::generate(spec, errors, 7);
     LocalSpectrum spectrum(p);
     for (const auto& r : ds.reads) spectrum.add_read(r.bases);
     spectrum.prune();
     const TileCorrector corrector(p);
-    const seq::TileCodec codec(p.k, p.tile_overlap);
 
-    std::vector<seq::Read> one_shot = ds.reads;
-    std::vector<ReadCorrection> want;
-    for (auto& r : one_shot) want.push_back(corrector.correct(r, spectrum));
+    // Withholding nothing, correct() records the one-shot lookups.
+    std::vector<std::vector<WithholdingView::Ask>> want;
+    WithholdingView plain(spectrum, /*rounds=*/0);
+    for (seq::Read r : ds.reads) {
+      corrector.correct(r, plain);
+      plain.take();
+      want.push_back(std::move(plain.taken));
+      plain.taken.clear();
+    }
 
-    // Per read: the tile it is held on and the candidate tile IDs proven
-    // unacceptable there so far.
-    struct Held {
-      std::size_t tile = 0;
-      std::set<std::uint64_t> rejected;
-    };
-    std::vector<std::optional<Held>> held(ds.reads.size());
+    std::vector<std::vector<WithholdingView::Ask>> got(ds.reads.size());
     std::vector<seq::Read> resumed = ds.reads;
     std::vector<TileCorrector::Cursor> cursors(resumed.size());
     std::vector<bool> done(resumed.size(), false);
     WithholdingView view(spectrum, rounds);
-    std::size_t checked = 0;
-    for (bool busy = true; busy; view.next_round()) {
+    std::size_t held = 0;
+    int round = 0;
+    for (bool busy = true; busy; view.next_round(), ++round) {
+      ASSERT_LT(round, 1000) << "the cursors stopped making progress";
       busy = false;
       for (std::size_t i = 0; i < resumed.size(); ++i) {
         if (done[i]) continue;
-        view.asks.clear();
-        const std::size_t start = cursors[i].tile;
         done[i] = corrector.advance(resumed[i].bases, resumed[i].quals,
                                     cursors[i], view, /*hold_degraded=*/true);
-        busy = busy || !done[i];
-        if (held[i] && held[i]->tile == start) {
-          for (const auto& a : view.asks) {
-            EXPECT_FALSE(a.tile && held[i]->rejected.count(a.id) != 0)
-                << "read " << i << " asked rejected candidate " << a.id;
-          }
-          checked += held[i]->rejected.size();
-        }
         if (done[i]) {
-          held[i].reset();
-          continue;
+          view.take();
+        } else {
+          ++held;
         }
-        // The held tile's decision starts at its gate lookup; every tile
-        // lookup after the last one is a candidate, followed by the k-mer
-        // lookups acceptable() made for it.
-        const int pos = codec.tile_position(
-            static_cast<int>(resumed[i].bases.size()), cursors[i].tile);
-        const seq::tile_id_t gate = codec.pack(std::string_view(
-            resumed[i].bases).substr(static_cast<std::size_t>(pos)));
-        std::size_t first = 0;
-        for (std::size_t a = 0; a < view.asks.size(); ++a) {
-          if (view.asks[a].tile && view.asks[a].id == gate) first = a + 1;
-        }
-        if (!held[i] || held[i]->tile != cursors[i].tile) {
-          held[i] = Held{cursors[i].tile, {}};
-        }
-        for (std::size_t a = first; a < view.asks.size();) {
-          const std::uint64_t cand = view.asks[a].id;
-          bool answered = true;
-          bool rejected = false;
-          std::size_t b = a;
-          do {
-            const auto& ask = view.asks[b];
-            answered = answered && !ask.withheld;
-            rejected = rejected || ask.count < (ask.tile ? p.tile_threshold
-                                                         : p.kmer_threshold);
-            ++b;
-          } while (b < view.asks.size() && !view.asks[b].tile);
-          if (answered && rejected) held[i]->rejected.insert(cand);
-          a = b;
-        }
+        got[i].insert(got[i].end(), view.taken.begin(), view.taken.end());
+        view.taken.clear();
+        view.pending.clear();
+        busy = busy || !done[i];
       }
     }
-    EXPECT_GT(checked, 0u) << "no held tile had a rejected candidate";
-    for (std::size_t i = 0; i < resumed.size(); ++i) {
-      EXPECT_EQ(resumed[i].bases, one_shot[i].bases) << "read " << i;
-      expect_same(cursors[i].result, want[i]);
+    EXPECT_GT(held, 0u) << "nothing was held";
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "read " << i;
     }
   }
 }

@@ -159,6 +159,41 @@ TEST(WavefrontCapacity, SmallCachesFallBackToScalarAndStayIdentical) {
   }
 }
 
+TEST(WavefrontCapacity, EarlyEndsCountLikeTheScalarRun) {
+  // An early end leaves reads held on a tile, and each continues from there
+  // on the real view. The decisions the probe took before must count once
+  // and the continuation's lookups once: every rank's LookupStats equal the
+  // scalar run's, and every lookup the cache could not answer goes scalar.
+  for (const std::size_t capacity : {std::size_t{8}, std::size_t{400}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    DistConfig config;
+    config.params = test_params();
+    config.params.prefetch_capacity = capacity;
+    config.ranks = 4;
+    config.heuristics.batch_lookups = false;
+    const DistResult scalar = run_distributed(reads(), config);
+    config.heuristics.batch_lookups = true;
+    const DistResult wave = run_distributed(reads(), config);
+    ASSERT_EQ(wave.ranks.size(), scalar.ranks.size());
+    std::uint64_t remote = 0;
+    for (std::size_t r = 0; r < wave.ranks.size(); ++r) {
+      const RankReport& w = wave.ranks[r];
+      const RankReport& s = scalar.ranks[r];
+      EXPECT_EQ(w.lookups.kmer_lookups, s.lookups.kmer_lookups) << "rank " << r;
+      EXPECT_EQ(w.lookups.kmer_misses, s.lookups.kmer_misses) << "rank " << r;
+      EXPECT_EQ(w.lookups.tile_lookups, s.lookups.tile_lookups) << "rank " << r;
+      EXPECT_EQ(w.lookups.tile_misses, s.lookups.tile_misses) << "rank " << r;
+      EXPECT_EQ(w.remote.prefetch_hits + w.remote.remote_lookups(),
+                s.remote.remote_lookups())
+          << "rank " << r;
+      EXPECT_EQ(w.remote.prefetch_misses, w.remote.remote_lookups())
+          << "rank " << r;
+      remote += w.remote.remote_lookups();
+    }
+    EXPECT_GT(remote, 0u);
+  }
+}
+
 TEST(WavefrontServe, JobSearchOverridesStayIdentical) {
   // The view corrects the wavefront with the job's parameters, so per-job
   // search overrides must still leave no lookup for the wire.
