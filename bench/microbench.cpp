@@ -54,7 +54,7 @@ std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t seed) {
 void BM_SpectrumLookup_HashTable(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto keys = random_keys(n, 1);
-  hash::CountTable<> table(n);
+  auto table = hash::CountTable<>::frozen(n);  // a pruned spectrum's sizing
   for (auto k : keys) table.increment(k, 3);
   const auto probes = random_keys(n, 2);  // ~all misses, like candidate tiles
   std::size_t i = 0;
@@ -127,21 +127,26 @@ void BM_CountTableInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_CountTableInsert);
 
-/// One CountTable lookup at the load of a replicated tile table: 101,010
-/// keys inserted by increment into a table sized for them, 131,072 slots
-/// (load 0.77). BM_SpectrumLookup_HashTable pre-sizes its table to load
-/// 0.5, which hides the miss path that ~95 % of the corrector's tile
-/// lookups take. Arg 0 looks up absent keys, 1 present ones.
+/// One CountTable lookup in a replicated tile table's shape: 101,010 keys
+/// inserted by increment. Shape 0 is the frozen sizing every table read
+/// after construction gets (CountTable::frozen, 262,144 slots, load 0.39);
+/// shape 1 is the growing sizing those tables had before (131,072 slots,
+/// load 0.77), kept so the ratio of the two is measured in one process.
+/// BM_SpectrumLookup_HashTable mixes hits and misses 1:1; this row splits
+/// them, and the miss row is the path ~95 % of the corrector's tile lookups
+/// take. Arg miss0_hit1 = 0 looks up absent keys, 1 present ones.
 void BM_CountTableFind(benchmark::State& state) {
   constexpr std::size_t kKeys = 101010;
+  const bool frozen = state.range(0) == 0;
   const auto keys = random_keys(kKeys, 11);
-  hash::CountTable<> table(kKeys);
+  auto table = frozen ? hash::CountTable<>::frozen(kKeys)
+                      : hash::CountTable<>(kKeys);
   for (const auto k : keys) table.increment(k, 3);
-  if (table.capacity() != 131072) {
-    state.SkipWithError("table is not at the replica's 131,072 slots");
+  if (table.capacity() != (frozen ? 262144u : 131072u)) {
+    state.SkipWithError("table is not at the replica shape's slot count");
     return;
   }
-  const auto& ids = state.range(0) == 0 ? random_keys(kKeys, 12) : keys;
+  const auto& ids = state.range(1) == 0 ? random_keys(kKeys, 12) : keys;
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.find(ids[i]));
@@ -149,7 +154,9 @@ void BM_CountTableFind(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_CountTableFind)->ArgName("miss0_hit1")->DenseRange(0, 1);
+BENCHMARK(BM_CountTableFind)
+    ->ArgNames({"frozen0_growing1", "miss0_hit1"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
 
 void BM_KmerExtraction(benchmark::State& state) {
   seq::DatasetSpec spec{"bench", 200, 102, 10000};

@@ -10,6 +10,8 @@ FrozenSpectrum::FrozenSpectrum(const LocalSpectrum& source,
       tile_entries_(source.tile_entries()) {
   switch (backend_) {
     case SpectrumBackend::kHashTable:
+      hash_kmers_ = hash::CountTable<>::frozen(kmer_entries_);
+      hash_tiles_ = hash::CountTable<>::frozen(tile_entries_);
       source.kmers().for_each([this](std::uint64_t id, std::uint32_t c) {
         hash_kmers_.increment(id, c);
       });

@@ -1,5 +1,7 @@
 #include "core/spectrum.hpp"
 
+#include <utility>
+
 namespace reptile::core {
 
 SpectrumExtractor::SpectrumExtractor(const CorrectorParams& params)
@@ -29,6 +31,16 @@ LocalSpectrum::LocalSpectrum(const CorrectorParams& params)
     : params_(params),
       kmer_codec_(params.k),
       tile_codec_(params.k, params.tile_overlap) {
+  params_.validate();
+}
+
+LocalSpectrum::LocalSpectrum(const CorrectorParams& params,
+                             hash::CountTable<> kmers, hash::CountTable<> tiles)
+    : params_(params),
+      kmer_codec_(params.k),
+      tile_codec_(params.k, params.tile_overlap),
+      kmers_(std::move(kmers)),
+      tiles_(std::move(tiles)) {
   params_.validate();
 }
 

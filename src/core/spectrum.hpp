@@ -59,6 +59,11 @@ class LocalSpectrum final : public SpectrumView {
  public:
   explicit LocalSpectrum(const CorrectorParams& params);
 
+  /// Adopts finished tables (a loaded checkpoint). IDs must already be
+  /// canonicalized consistently with `params`.
+  LocalSpectrum(const CorrectorParams& params, hash::CountTable<> kmers,
+                hash::CountTable<> tiles);
+
   /// Adds every k-mer and tile of `bases` to the spectra (Step II of the
   /// paper, without the ownership split).
   void add_read(std::string_view bases);
@@ -66,15 +71,6 @@ class LocalSpectrum final : public SpectrumView {
   /// Drops entries below the thresholds (Step III pruning). Returns the
   /// number of entries removed.
   std::size_t prune();
-
-  /// Direct count insertion (checkpoint loading and merges). IDs must
-  /// already be canonicalized consistently with this spectrum's params.
-  void add_kmer_count(seq::kmer_id_t id, std::uint32_t count) {
-    kmers_.increment(id, count);
-  }
-  void add_tile_count(seq::tile_id_t id, std::uint32_t count) {
-    tiles_.increment(id, count);
-  }
 
   std::uint32_t kmer_count(seq::kmer_id_t id) override;
   std::uint32_t tile_count(seq::tile_id_t id) override;

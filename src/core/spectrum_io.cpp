@@ -3,6 +3,8 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace reptile::core {
 
@@ -38,6 +40,32 @@ void write_table(std::ofstream& out, const hash::CountTable<>& table) {
     write_value(out, id);
     write_value(out, count);
   });
+}
+
+/// Reads one table written by write_table into a frozen table. `file_bytes`
+/// is the file's size: an entry count the rest of the file cannot hold is a
+/// corrupt or truncated file, and must be refused before it sizes a table.
+hash::CountTable<> read_table(std::ifstream& in, std::uintmax_t file_bytes,
+                              const std::string& kind) {
+  const auto entries =
+      read_value<std::uint64_t>(in, (kind + " count").c_str());
+  constexpr std::uintmax_t kEntryBytes =
+      sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  const auto at = static_cast<std::uintmax_t>(in.tellg());
+  if (entries > (file_bytes - at) / kEntryBytes) {
+    throw std::runtime_error("spectrum file truncated: " +
+                             std::to_string(entries) + " " + kind +
+                             " entries do not fit");
+  }
+  const std::string id_what = kind + " id";
+  const std::string value_what = kind + " value";
+  auto table = hash::CountTable<>::frozen(entries);
+  for (std::uint64_t i = 0; i < entries; ++i) {
+    const auto id = read_value<std::uint64_t>(in, id_what.c_str());
+    const auto count = read_value<std::uint32_t>(in, value_what.c_str());
+    table.increment(id, count);
+  }
+  return table;
 }
 
 }  // namespace
@@ -95,20 +123,10 @@ LocalSpectrum load_spectrum(const std::filesystem::path& path,
         std::to_string(k) + ", overlap=" + std::to_string(overlap) + ")");
   }
 
-  LocalSpectrum spectrum(params);
-  const auto n_kmers = read_value<std::uint64_t>(in, "kmer count");
-  for (std::uint64_t i = 0; i < n_kmers; ++i) {
-    const auto id = read_value<std::uint64_t>(in, "kmer id");
-    const auto count = read_value<std::uint32_t>(in, "kmer value");
-    spectrum.add_kmer_count(id, count);
-  }
-  const auto n_tiles = read_value<std::uint64_t>(in, "tile count");
-  for (std::uint64_t i = 0; i < n_tiles; ++i) {
-    const auto id = read_value<std::uint64_t>(in, "tile id");
-    const auto count = read_value<std::uint32_t>(in, "tile value");
-    spectrum.add_tile_count(id, count);
-  }
-  return spectrum;
+  const std::uintmax_t file_bytes = std::filesystem::file_size(path);
+  auto kmers = read_table(in, file_bytes, "kmer");
+  auto tiles = read_table(in, file_bytes, "tile");
+  return LocalSpectrum(params, std::move(kmers), std::move(tiles));
 }
 
 }  // namespace reptile::core

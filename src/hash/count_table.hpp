@@ -37,10 +37,24 @@
 // table in place at the same capacity, which clears the tombstones; at
 // least 1/8 of the slots are always empty, so every probe ends.
 //
-// The byte bill: 8 B key + 4 B count + 1 B control = 13 B per slot, grown
-// on entry to increment() when live entries would reach 7/8 of capacity.
-// memory_bytes() is that exact bill, which the paper's per-rank memory
-// evaluation (MB/rank) reads.
+// Two sizing regimes, one byte bill: 8 B key + 4 B count + 1 B control =
+// 13 B per slot, and memory_bytes() is that exact bill, which the paper's
+// per-rank memory evaluation (MB/rank) reads.
+// - A growing table (construction's owned and pending tables, the chunk
+//   cache) grows on entry to increment() when live entries would reach 7/8
+//   of capacity, so its load lands anywhere in (0.44, 0.875].
+// - A table frozen after construction (the pruned spectra, replicas, group
+//   tables, fetched reads tables, loaded checkpoints) is built through
+//   frozen(): the smallest power of two >= 2 x entries, so its load is at
+//   most 1/2. With 101,010 random keys (a replicated tile table), a miss
+//   visits 1.33 groups and meets 0.13 false tag matches at the growing
+//   sizing (131,072 slots, load 0.77), against 1.00 group and 0.05 at the
+//   frozen one (262,144 slots, load 0.39); microbench BM_CountTableFind
+//   times such a miss at 16.0 and 8.2 ns (4-vCPU Xeon, Release). Timed at
+//   a fixed 262,144 slots, a miss costs 7.7-8.6 ns up to load 0.50, 9.6 at
+//   0.61, 13.1 at 0.70 and 17.3 at 0.77: the knee lies between 0.6 and 0.7,
+//   and frozen() keeps every table left of it. The price is up to twice the
+//   slots of a growing table holding the same entries.
 
 #ifndef __SSE2__
 #error "hash/count_table.hpp needs SSE2 (every x86-64 target has it)"
@@ -71,9 +85,27 @@ class CountTable {
   using key_type = std::uint64_t;
   using count_type = Count;
 
+  /// Bytes of one slot: key, count and control byte.
+  static constexpr std::size_t kSlotBytes =
+      sizeof(key_type) + sizeof(count_type) + 1;
+
   /// Creates a table with capacity for at least `expected` entries before
-  /// the first rehash.
+  /// the first rehash (the growing regime, load up to 7/8).
   explicit CountTable(std::size_t expected = 0) { rehash_for(expected); }
+
+  /// Capacity of a frozen table for `entries` keys: the smallest power of
+  /// two >= 2 x entries, one group at least, so load is at most 1/2.
+  static constexpr std::size_t frozen_capacity(std::size_t entries) noexcept {
+    return std::max(kGroupWidth, std::bit_ceil(2 * entries));
+  }
+
+  /// An empty table for `entries` keys that will be read far more than
+  /// written: a spectrum table after construction, where ~95 % of lookups
+  /// miss and a miss at load <= 1/2 reads one group. Inserts past
+  /// `entries` still work and grow it by the 7/8 rule.
+  static CountTable frozen(std::size_t entries) {
+    return CountTable(AtCapacity{}, frozen_capacity(entries));
+  }
 
   // Move-only: the ledger charge is an ownership handle (moves carry the
   // charged balance to the new table; see obs/ledger.hpp).
@@ -161,11 +193,12 @@ class CountTable {
   /// Drops every entry whose count is strictly below `threshold` (the
   /// paper's Step III pruning). Returns the number of entries removed.
   std::size_t prune_below(count_type threshold) {
-    // Rebuild into a fresh table sized for the survivors, so the pruned
-    // spectrum does not keep the capacity that held every error k-mer.
+    // Rebuild into a frozen table for the survivors: the pruned spectrum
+    // drops the capacity that held every error k-mer and is only read from
+    // here on.
     std::size_t survivors = 0;
     for_each([&](key_type, count_type c) { survivors += c >= threshold; });
-    CountTable kept(survivors);
+    CountTable kept = frozen(survivors);
     for_each([&](key_type k, count_type c) {
       if (c >= threshold) kept.increment(k, c);
     });
@@ -224,6 +257,9 @@ class CountTable {
   static constexpr std::uint8_t kEmpty = 0x80;
   static constexpr std::uint8_t kDeleted = 0xFE;
   static constexpr std::size_t kNone = ~std::size_t{0};
+
+  struct AtCapacity {};
+  CountTable(AtCapacity, std::size_t capacity) { resize(capacity); }
 
   static std::uint8_t tag_of(std::uint64_t h) noexcept {
     return static_cast<std::uint8_t>(h >> 57);
@@ -317,6 +353,12 @@ class CountTable {
     std::size_t want = kGroupWidth;
     while (want * 7 < (expected + 1) * 8) want *= 2;  // keep load <= 7/8
     if (want <= cap_ && size_ != 0) want = cap_ * 2;
+    resize(want);
+  }
+
+  /// Moves every entry into fresh slot arrays of `want` slots (a power of
+  /// two, at least one group, with room for every entry).
+  void resize(std::size_t want) {
     std::vector<key_type> old_keys = std::move(keys_);
     std::vector<count_type> old_counts = std::move(counts_);
     std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
@@ -327,8 +369,7 @@ class CountTable {
     cap_ = want;
     group_mask_ = want / kGroupWidth - 1;
     tombstones_ = 0;
-    charge_.set(
-        cap_ * (sizeof(key_type) + sizeof(count_type) + sizeof(std::uint8_t)));
+    charge_.set(cap_ * kSlotBytes);
     // Keys are distinct and the new table has no tombstones, so each goes
     // straight to the first free slot of its probe sequence.
     for (std::size_t i = 0; i < old_ctrl.size(); ++i) {

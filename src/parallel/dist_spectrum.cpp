@@ -110,8 +110,9 @@ void DistSpectrum::fetch_one(Tables& t) {
   const auto replies = comm_->alltoallv(answers);
 
   // Rebuild the reads table with global counts, in the same per-owner order
-  // the asks were issued.
-  hash::CountTable<> rebuilt(t.reads.size());
+  // the asks were issued. It is frozen from here on, except for add_remote's
+  // cached replies, which grow it by the 7/8 rule.
+  auto rebuilt = hash::CountTable<>::frozen(t.reads.size());
   for (int owner = 0; owner < np; ++owner) {
     const auto& sent = asks[static_cast<std::size_t>(owner)];
     const auto& got = replies[static_cast<std::size_t>(owner)];
@@ -139,7 +140,7 @@ void DistSpectrum::replicate(LookupKind kind) {
   const auto mine = owned_entries(t);
   const auto all =
       comm_->allgatherv(std::span<const IdCount>(mine.data(), mine.size()));
-  t.replica = hash::CountTable<>(all.size());
+  t.replica = hash::CountTable<>::frozen(all.size());
   for (const IdCount& e : all) t.replica.increment(e.id, e.count);
   // Every rank now resolves this kind from the replica; the owned shard is
   // redundant (no rank will request it remotely in this mode).
@@ -164,8 +165,9 @@ void DistSpectrum::replicate_group() {
       }
     }
     const auto received = comm_->alltoallv(buckets);
-    t.group =
-        hash::CountTable<>(t.owned.size() * static_cast<std::size_t>(g));
+    std::size_t entries = mine.size();
+    for (const auto& part : received) entries += part.size();
+    t.group = hash::CountTable<>::frozen(entries);
     for (const IdCount& e : mine) t.group.increment(e.id, e.count);
     for (const auto& part : received) {
       for (const IdCount& e : part) t.group.increment(e.id, e.count);

@@ -175,6 +175,19 @@ class DistSpectrum {
     return tables(kind).owned;
   }
 
+  /// Applies `fn(kind, name, table)` to each table a lookup reads after
+  /// construction (owned, reads, replica, group), for both kinds.
+  template <class Fn>
+  void for_each_lookup_table(Fn&& fn) const {
+    for (const LookupKind kind : kLookupKinds) {
+      const Tables& t = tables(kind);
+      fn(kind, "owned", t.owned);
+      fn(kind, "reads", t.reads);
+      fn(kind, "replica", t.replica);
+      fn(kind, "group", t.group);
+    }
+  }
+
  private:
   /// The tables of one spectrum (k-mers or tiles).
   struct Tables {

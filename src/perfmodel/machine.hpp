@@ -70,10 +70,6 @@ struct MachineModel {
   double collective_latency = 2.0e-5;
 
   // --- memory ---------------------------------------------------------------
-  /// Bytes per hash-table slot (8 key + 4 count + 1 control byte).
-  double table_bytes_per_slot = 13.0;
-  /// Inverse load factor of the tables (capacity/entries).
-  double table_overhead = 1.6;
   std::size_t memory_per_rank_budget = 512ull << 20;  ///< paper: 512 MB/rank
 
   /// Compute-side slowdown from SMT oversubscription: with 2 threads per

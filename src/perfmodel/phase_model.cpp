@@ -85,7 +85,7 @@ RunEstimate estimate_run(const MachineModel& machine,
       // Global-count fetch: two extra alltoallv rounds over the reads-table
       // IDs (approximated by the reads-table size in entries * 8 B).
       const auto fetch_bytes = static_cast<std::size_t>(
-          w.reads_table_bytes / (13.0 * 1.6) * 8.0);
+          w.reads_table_bytes / kFrozenTableBytesPerEntry * 8.0);
       e.construct_seconds +=
           2 * machine.alltoallv_cost(fetch_bytes, run.np, ranks_per_node);
     }

@@ -264,7 +264,6 @@ std::vector<RankWorkload> synthesize_workload(
   const double dropped_full =
       static_cast<double>(traits.dropped_kmers + traits.dropped_tiles) *
       reads_ratio;
-  const double table_bytes_per_entry = 13.0 * 1.6;
 
   // Global burst share (for the balanced mode's per-rank mix).
   const std::uint64_t total_burst = count_burst_reads(
@@ -326,29 +325,30 @@ std::vector<RankWorkload> synthesize_workload(
     w.exchange_bytes = w.extract_items * exchange_factor * 12.0;
 
     w.owned_entries = kept_full / np;
-    w.spectrum_bytes = w.owned_entries * table_bytes_per_entry;
+    w.spectrum_bytes = w.owned_entries * kFrozenTableBytesPerEntry;
     if (group > 1) {
       // Partial replication: the rank also holds its group's shards.
-      w.replica_bytes += w.owned_entries * table_bytes_per_entry * group;
+      w.replica_bytes += w.owned_entries * kFrozenTableBytesPerEntry * group;
     }
     if (heur.allgather_kmers) {
       w.replica_bytes += static_cast<double>(traits.kept_kmers) *
-                         genome_ratio * table_bytes_per_entry;
+                         genome_ratio * kFrozenTableBytesPerEntry;
     }
     if (heur.allgather_tiles) {
       w.replica_bytes += static_cast<double>(traits.kept_tiles) *
-                         genome_ratio * table_bytes_per_entry;
+                         genome_ratio * kFrozenTableBytesPerEntry;
     }
     if (heur.read_kmers) {
       // The rank's reads tables hold its (mostly distinct) non-owned IDs.
       const double distinct_cap = (kept_full + dropped_full);
       w.reads_table_bytes =
           std::min(w.extract_items * exchange_factor, distinct_cap) *
-          table_bytes_per_entry;
+          kFrozenTableBytesPerEntry;
       if (heur.add_remote) {
-        w.reads_table_bytes +=
-            (remote_k + remote_t) * (1.0 - traits.repeat_remote_fraction) *
-            table_bytes_per_entry * 0.5;  // cached replies, absences included
+        // Cached replies, absences included.
+        w.reads_table_bytes += (remote_k + remote_t) *
+                               (1.0 - traits.repeat_remote_fraction) *
+                               kFrozenTableBytesPerEntry * 0.5;
       }
     }
 
@@ -357,12 +357,13 @@ std::vector<RankWorkload> synthesize_workload(
     // construction keeps pre-prune singletons out of the exact tables at
     // the cost of the filter bits.
     double preprune_owned =
-        (kept_full + dropped_full) / np * table_bytes_per_entry;
+        (kept_full + dropped_full) / np * kGrowingTableBytesPerEntry;
     if (heur.bloom_construction) {
       // Exact tables hold only the kept entries; every distinct ID costs
       // ~9.5 filter bits (DistSpectrum::owner_add's sizing) instead.
       const double bloom_bytes = (kept_full + dropped_full) / np * 1.2;
-      preprune_owned = kept_full / np * table_bytes_per_entry + bloom_bytes;
+      preprune_owned =
+          kept_full / np * kGrowingTableBytesPerEntry + bloom_bytes;
     }
     const double pending_items =
         heur.batch_reads
@@ -372,7 +373,7 @@ std::vector<RankWorkload> synthesize_workload(
                   exchange_factor
             : w.extract_items * exchange_factor;
     w.construction_peak_bytes =
-        preprune_owned + pending_items * table_bytes_per_entry;
+        preprune_owned + pending_items * kGrowingTableBytesPerEntry;
   }
 
   // Service load: owners are uniform, so each rank answers 1/np of all

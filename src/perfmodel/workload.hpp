@@ -18,14 +18,30 @@
 // The counters then go to the phase model (phase_model.hpp) for pricing.
 
 #include <cstdint>
+#include <numbers>
 #include <vector>
 
 #include "core/params.hpp"
+#include "hash/count_table.hpp"
 #include "parallel/heuristics.hpp"
 #include "seq/dataset.hpp"
 #include "stats/phase_timeline.hpp"
 
 namespace reptile::perfmodel {
+
+/// Modeled bytes per entry of a table read after construction: the pruned
+/// owned tables, replicas, group tables and fetched reads tables, all sized
+/// by hash::CountTable::frozen. Their capacity / entries lies in [2, 4);
+/// over entry counts spread evenly on a log scale its mean is 2 / ln 2
+/// (2.89), so an entry costs 13 B x 2.89 = 37.5 B.
+inline constexpr double kFrozenTableBytesPerEntry =
+    hash::CountTable<>::kSlotBytes * 2.0 / std::numbers::ln2;
+
+/// The same for a table still growing during construction (owned tables
+/// before pruning, pending tables), grown at 7/8 load: capacity / entries
+/// in [8/7, 16/7), mean 8 / (7 ln 2) (1.65), 21.4 B an entry.
+inline constexpr double kGrowingTableBytesPerEntry =
+    hash::CountTable<>::kSlotBytes * 8.0 / (7.0 * std::numbers::ln2);
 
 /// Mean per-read correction work for one read class.
 struct PerReadWork {

@@ -69,16 +69,53 @@ TEST(CountTable, PruneBelowDropsLightEntries) {
 
 TEST(CountTable, PruneBelowSizesForSurvivors) {
   // The pruned table must not keep the capacity that held the pruned
-  // entries: its bill equals that of a table built for the kept count.
+  // entries: it is rebuilt at the frozen sizing for the kept count, the
+  // smallest power of two >= 2 x survivors (load <= 1/2).
   CountTable<> t;
   for (std::uint64_t k = 0; k < 10000; ++k) {
     t.increment(k, k % 100 == 0 ? 5 : 1);
   }
   EXPECT_EQ(t.prune_below(2), 9900u);
   EXPECT_EQ(t.size(), 100u);
-  EXPECT_EQ(t.memory_bytes(), CountTable<>(100).memory_bytes());
-  EXPECT_EQ(t.capacity(), CountTable<>(100).capacity());
+  EXPECT_EQ(t.capacity(), 256u);
+  EXPECT_EQ(t.memory_bytes(), 256u * CountTable<>::kSlotBytes);
   for (std::uint64_t k = 0; k < 10000; k += 100) ASSERT_EQ(t.find(k), 5u);
+}
+
+TEST(CountTable, FrozenCapacityIsTwiceTheEntriesRoundedUp) {
+  using T = CountTable<>;
+  EXPECT_EQ(T::frozen_capacity(0), 16u);  // one group at least
+  EXPECT_EQ(T::frozen_capacity(8), 16u);
+  EXPECT_EQ(T::frozen_capacity(9), 32u);
+  EXPECT_EQ(T::frozen_capacity(100), 256u);
+  EXPECT_EQ(T::frozen_capacity(128), 256u);
+  EXPECT_EQ(T::frozen_capacity(129), 512u);
+  EXPECT_EQ(T::frozen_capacity(101010), 262144u);  // the replica tile table
+  for (const std::size_t n : {0u, 1u, 15u, 100u, 129u, 5000u}) {
+    T t = T::frozen(n);
+    EXPECT_EQ(t.capacity(), T::frozen_capacity(n)) << n;
+    EXPECT_EQ(t.memory_bytes(), t.capacity() * T::kSlotBytes) << n;
+    for (std::uint64_t k = 0; k < n; ++k) t.increment(k * 7919, 2);
+    // Filling it to `n` entries never rehashes and keeps load <= 1/2.
+    EXPECT_EQ(t.capacity(), T::frozen_capacity(n)) << n;
+    EXPECT_LE(2 * t.size(), t.capacity()) << n;
+  }
+}
+
+TEST(CountTable, FrozenTableGrowsPastSevenEighths) {
+  // A frozen table that keeps taking inserts (the add_remote reads table)
+  // grows by the 7/8 rule like any other, and keeps every entry.
+  auto t = CountTable<>::frozen(100);
+  ASSERT_EQ(t.capacity(), 256u);
+  for (std::uint64_t k = 0; k < 100; ++k) t.increment(k, 3);
+  for (std::uint64_t k = 100; k < 1000; ++k) t.increment(k, 1 + k % 4);
+  EXPECT_GT(t.capacity(), 256u);
+  EXPECT_LT(t.size() * 8, t.capacity() * 7);
+  EXPECT_EQ(t.size(), 1000u);
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    ASSERT_EQ(t.find(k), k < 100 ? 3u : 1 + k % 4) << k;
+  }
+  EXPECT_FALSE(t.contains(1000));
 }
 
 TEST(CountTable, GrowsThroughManyInserts) {
