@@ -355,14 +355,12 @@ std::vector<LookupRow> measure_remote_lookups(
           [&](std::uint64_t id, std::uint32_t) { owned.push_back(id); });
       comm.send<std::uint64_t>(
           0, 97, std::span<const std::uint64_t>(owned.data(), owned.size()));
-      comm.reset_done();
       LookupService service(comm, spectrum);
       std::thread server([&service] { service.serve(); });
-      comm.signal_done();
+      end_correction_phase(comm, /*stop_service=*/true);
       server.join();
     } else {
       auto ids = comm.recv(1, 97).as<std::uint64_t>();
-      comm.reset_done();
       stats::Stopwatch clock;
 
       // Scalar baseline: one blocking round trip per lookup.
@@ -410,7 +408,7 @@ std::vector<LookupRow> measure_remote_lookups(
         row.seconds = clock.seconds();
         rows.push_back(row);
       }
-      comm.signal_done();
+      end_correction_phase(comm, /*stop_service=*/false);
     }
     comm.barrier();
   }, [] {
@@ -553,19 +551,17 @@ RttResult measure_lookup_rtt(std::size_t lookups) {
               [&](std::uint64_t id, std::uint32_t) { owned.push_back(id); });
           comm.send<std::uint64_t>(
               0, 97, std::span<const std::uint64_t>(owned.data(), owned.size()));
-          comm.reset_done();
           LookupService service(comm, spectrum);
           std::thread server([&service] { service.serve(); });
-          comm.signal_done();
+          end_correction_phase(comm, /*stop_service=*/true);
           server.join();
         } else {
           const auto ids = comm.recv(1, 97).as<std::uint64_t>();
-          comm.reset_done();
           RemoteSpectrumView view(comm, spectrum);
           for (std::size_t i = 0; i < lookups; ++i) {
             benchmark::DoNotOptimize(view.kmer_count(ids[i % ids.size()]));
           }
-          comm.signal_done();
+          end_correction_phase(comm, /*stop_service=*/false);
         }
         comm.barrier();
       },

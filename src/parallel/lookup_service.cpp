@@ -1,6 +1,5 @@
 #include "parallel/lookup_service.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <optional>
 #include <vector>
@@ -11,11 +10,13 @@
 namespace reptile::parallel {
 
 namespace {
-constexpr auto kServiceWait = std::chrono::microseconds(200);
-
 bool is_request_tag(int tag) noexcept {
   return tag == kTagKmerRequest || tag == kTagTileRequest ||
          tag == kTagUniversalRequest || tag == kTagBatchRequest;
+}
+
+bool is_request_or_stop(const rtm::Message& m) noexcept {
+  return m.tag == kTagServiceStop || is_request_tag(m.tag);
 }
 }  // namespace
 
@@ -129,10 +130,7 @@ void LookupService::serve() {
   // Non-universal mode mirrors the paper's probe-then-receive protocol: the
   // thread probes for each request tag to learn the request kind before
   // receiving. Universal mode accepts any request message directly.
-  while (!comm_->all_done()) {
-    // Once the watchdog aborts the run, unwind quietly — the blocked
-    // worker threads carry the DeadlockError to run_ranks.
-    if (check != nullptr && check->aborted()) return;
+  while (true) {
     if (!universal_) {
       // MPI_Iprobe per request tag; counted so the performance model can
       // price the probe overhead universal mode removes.
@@ -142,17 +140,27 @@ void LookupService::serve() {
         (void)comm_->iprobe(rtm::kAnySource, kTagTileRequest);
       }
     }
-    const auto msg = comm_->recv_match_for(
-        [](const rtm::Message& m) { return is_request_tag(m.tag); },
-        kServiceWait);
-    if (msg) {
-      if (check != nullptr) check->thread_active();
-      handle(*msg);
-    } else if (check != nullptr) {
-      check->thread_idle_poll();
+    std::optional<rtm::Message> msg;
+    if (check == nullptr) {
+      msg = comm_->recv_match(is_request_or_stop);
+    } else {
+      // Checked runs wait in poll slices: an empty slice tells the deadlock
+      // watchdog this thread only reacts to messages, and once the watchdog
+      // aborts the run the service unwinds quietly — the blocked worker
+      // threads carry the DeadlockError to run_ranks.
+      while (!msg) {
+        if (check->aborted()) return;
+        msg = comm_->recv_match_for(is_request_or_stop,
+                                    check->poll_interval());
+        if (!msg) check->thread_idle_poll();
+      }
+      check->thread_active();
     }
+    if (msg->tag == kTagServiceStop) break;
+    handle(*msg);
   }
-  // Drain any requests already queued when the last rank signalled done.
+  // Answer the requests still queued behind the stop (chaos duplicates and
+  // retransmissions that arrived late; fault-free runs find none).
   while (true) {
     auto msg = comm_->try_recv(rtm::kAnySource, kTagKmerRequest);
     if (!msg) msg = comm_->try_recv(rtm::kAnySource, kTagTileRequest);
@@ -168,6 +176,11 @@ void LookupService::serve() {
   while (comm_->try_recv(rtm::kAnySource, kTagFilterExchange)) {
     ++stats_.filter_stragglers;
   }
+}
+
+void end_correction_phase(rtm::Comm& comm, bool stop_service) noexcept {
+  comm.exit_barrier();
+  if (stop_service) comm.post_self(kTagServiceStop);
 }
 
 }  // namespace reptile::parallel

@@ -9,10 +9,13 @@
 // (if it is a k-mer or a tile lookup) ... and sends the appropriate
 // response."
 //
-// Termination: every rank announces completion of its own correction work
-// via Comm::signal_done(); the service loops until all ranks are done and
-// its request queue is drained (a requester is never "done" while it has an
-// outstanding request, so no request can arrive after that point).
+// Termination: each rank ends the phase with end_correction_phase(), one
+// barrier and then a stop (kTagServiceStop) posted to its own mailbox. A
+// worker only finishes once every reply it waited for has arrived, so after
+// the barrier no rank owes another a reply. Until then the service blocks
+// on its mailbox until a request or the stop arrives; no timer and no
+// shared flag is involved. On the stop it answers whatever requests are
+// still queued and returns.
 
 #include <cstdint>
 
@@ -35,8 +38,10 @@ class LookupService {
   /// operations are thread-safe, and the service touches no collectives).
   LookupService(rtm::Comm& comm, const DistSpectrum& spectrum);
 
-  /// Runs until every rank has signalled done and the request queue is
-  /// empty. Call on a dedicated thread.
+  /// Answers requests until this rank's stop arrives, then drains the
+  /// requests still queued and returns. Call on a dedicated thread. With
+  /// rtm-check on it wakes every poll interval to report itself idle, and
+  /// returns early once the checker aborts the run.
   void serve();
 
   const ServiceStats& stats() const noexcept { return stats_; }
@@ -62,5 +67,13 @@ class LookupService {
   /// metrics are off; registry lookups lock a mutex, so never per message).
   obs::Histogram* handle_hist_ = nullptr;
 };
+
+/// Ends this rank's correction phase. Collective: a barrier (after which
+/// every rank's workers are done, so no request is in flight), then, when
+/// `stop_service` is set, the stop that ends this rank's serve() loop.
+/// Never throws, because it runs from ScopedThreadGroup's before_join on
+/// unwind too: under an rtm-check abort it skips (or abandons) the barrier
+/// and still posts the stop, so the service can be joined.
+void end_correction_phase(rtm::Comm& comm, bool stop_service) noexcept;
 
 }  // namespace reptile::parallel

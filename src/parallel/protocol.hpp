@@ -34,6 +34,8 @@ enum Tag : int {
   kTagFilterExchange = 15,
   kTagJobAnnounce = 16,
   kTagJobComplete = 17,
+  /// Self-addressed control: ends this rank's LookupService::serve loop.
+  kTagServiceStop = 18,
   kTagKmerReply = 21,
   kTagTileReply = 22,
 };

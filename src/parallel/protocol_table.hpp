@@ -142,6 +142,12 @@ inline rtm::check::TagTable lookup_tag_table() {
       TagRule{kTagJobComplete, kTagJobComplete, "job-complete",
               TagDir::kRequest, sizeof(JobComplete), sizeof(JobComplete),
               nullptr, nullptr},
+      // Termination plane (DESIGN.md §4d): once the phase-ending barrier
+      // has passed, each rank posts this empty stop to its own mailbox
+      // (Comm::post_self) to wake its communication thread. Never wire
+      // traffic, never faulted, and always consumed by serve().
+      TagRule{kTagServiceStop, kTagServiceStop, "service-stop", TagDir::kSelf,
+              0, 0, nullptr, nullptr},
       TagRule{kTagKmerReply, kTagBatchReplyBase - 1, "scalar-reply",
               TagDir::kReply, sizeof(LookupReply), sizeof(LookupReply),
               nullptr, &table_detail::reply_seq},

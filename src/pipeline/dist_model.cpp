@@ -27,7 +27,6 @@ void DistSpectrumModel::prepare_correction(RankContext& ctx) {
   // flight, so the blocking collection can never steal a lookup message.
   // (Idempotent: in serve mode only the first job's call exchanges.)
   spectrum_.exchange_filters(ctx.job.retry);
-  comm_->reset_done();
   service_.emplace(*comm_, spectrum_);
 }
 

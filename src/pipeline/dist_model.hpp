@@ -58,7 +58,10 @@ class DistSpectrumModel final : public SpectrumModel {
   }
 
   void serve() override { service_->serve(); }
-  void announce_done() override { comm_->signal_done(); }
+  /// One barrier, then the stop to this rank's service (when it runs).
+  void announce_done() override {
+    parallel::end_correction_phase(*comm_, needs_service());
+  }
 
   void harvest_service(stats::PhaseTimeline& report) override {
     if (service_.has_value()) report.service = service_->stats();
@@ -74,8 +77,8 @@ class DistSpectrumModel final : public SpectrumModel {
 
   rtm::Comm* comm_;
   parallel::DistSpectrum spectrum_;
-  /// Constructed by prepare_correction (after Comm::reset_done) whether or
-  /// not the service thread runs — its zeroed stats still feed the report.
+  /// Constructed by prepare_correction whether or not the service thread
+  /// runs — its zeroed stats still feed the report.
   std::optional<parallel::LookupService> service_;
 };
 

@@ -122,19 +122,22 @@ class SpectrumModel {
   /// Collective where overridden (all ranks must call it together).
   virtual void reset_for_job() {}
 
-  /// Runs before any Step IV thread starts (distributed: Comm::reset_done
-  /// and service construction).
+  /// Runs before any Step IV thread starts (distributed: the filter
+  /// exchange and service construction). Not a barrier: a request that
+  /// reaches a rank before its service starts waits in the mailbox.
   virtual void prepare_correction(RankContext& ctx) { (void)ctx; }
 
   /// True when a communication thread must run alongside the workers.
   virtual bool needs_service() const { return false; }
 
-  /// The communication thread's body: serve lookups until every rank is
-  /// done. Called only when needs_service().
+  /// The communication thread's body: serve lookups until announce_done
+  /// stops it. Called only when needs_service().
   virtual void serve() {}
 
-  /// This rank's completion announcement (distributed: Comm::signal_done).
-  /// CorrectStage guarantees exactly one call, even on exception unwind.
+  /// Ends this rank's correction phase once its workers are done. The
+  /// distributed model runs one barrier, after which no rank owes another a
+  /// reply, and then stops its own service. CorrectStage calls it exactly
+  /// once, also on exception unwind, so it must not throw.
   virtual void announce_done() {}
 
   /// Service counters into report.service, after the service join.

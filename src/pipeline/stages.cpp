@@ -150,15 +150,37 @@ void CorrectStage::run(RankContext& ctx) {
   SpectrumModel& model = *ctx.model();
   model.prepare_correction(ctx);
 
-  // The completion announcement (distributed: Comm::signal_done) must run
-  // exactly once before the communication thread is joined — the service
-  // loops until every rank is done — including when a worker throws below
-  // (a check::ProtocolError at a send site, a check::DeadlockError out of a
-  // blocked receive). Under a deadlock abort the service exits on the
-  // checker's abort flag, so the join completes.
+  // With a communication thread, a second barrier closes the phase after
+  // the thread is joined, on unwind too (declared first, destroyed last):
+  // no rank thread moves on while a peer's service thread still exits.
+  // The protocol does not need it, but glibc reuses the malloc arenas of
+  // exited threads last-out first-in: unordered exits hand the next run's
+  // rank threads a service thread's small arena to grow for their tables,
+  // while the old table memory stays resident (paper-base-2r peak RSS
+  // +31 % without this barrier, equal with MALLOC_ARENA_MAX=1).
+  struct ExitBarrier {
+    rtm::Comm* comm;
+    ~ExitBarrier() {
+      if (comm != nullptr) comm->exit_barrier();
+    }
+  } const exit_barrier{model.needs_service() ? ctx.comm() : nullptr};
+
+  // The phase end (distributed: a barrier, then the stop to this rank's
+  // communication thread) must run exactly once before that thread is
+  // joined, including when a worker throws below (a check::ProtocolError at
+  // a send site, a check::DeadlockError out of a blocked receive). After
+  // the barrier every rank's workers are done, so no rank owes another a
+  // reply. Under a deadlock abort the service exits on the checker's abort
+  // flag, so the join completes.
+  std::uint64_t service_voluntary = 0;
+  std::uint64_t service_involuntary = 0;
   rtm::ScopedThreadGroup service_group([&model] { model.announce_done(); });
   if (model.needs_service()) {
-    service_group.spawn([&model] { model.serve(); });
+    service_group.spawn([&] {
+      const stats::SwitchMeter switches;
+      model.serve();
+      switches.add_to(service_voluntary, service_involuntary);
+    });
   }
 
   stats::Stopwatch clock;
@@ -186,6 +208,7 @@ void CorrectStage::run(RankContext& ctx) {
       obs::Tracer::instance().set_thread(
           ctx.rank_id(), ("worker" + std::to_string(slot)).c_str());
     }
+    const stats::SwitchMeter switches;
     const auto handle = model.make_worker(ctx, slot);
     core::TileCorrector corrector(ctx.job.params);
     stats::PhaseTimeline& acc = worker_acc[static_cast<std::size_t>(slot)];
@@ -215,6 +238,8 @@ void CorrectStage::run(RankContext& ctx) {
       for (seq::Read& r : local_batch) corrected.push_back(std::move(r));
     }
     handle->harvest(acc);
+    switches.add_to(acc.correct_voluntary_switches,
+                    acc.correct_involuntary_switches);
   };
 
   {
@@ -238,10 +263,11 @@ void CorrectStage::run(RankContext& ctx) {
   // Counters sum across workers; comm_seconds is a gauge, so the rank
   // reports the longest any worker spent blocked.
   for (const stats::PhaseTimeline& acc : worker_acc) ctx.job.report += acc;
+  ctx.job.report.correct_voluntary_switches += service_voluntary;
+  ctx.job.report.correct_involuntary_switches += service_involuntary;
   model.harvest_service(ctx.job.report);
   model.record_correction_footprint(ctx.job.report);
   sample_ledger(ctx.job.report, /*at_build_end=*/false);
-  if (ctx.comm() != nullptr) ctx.comm()->barrier();
 }
 
 namespace {

@@ -337,6 +337,11 @@ void RunChecker::on_send(int src, int dst, int tag,
     fail(what.str());
   }
 
+  if (rule->dir == TagDir::kSelf) {
+    fail(std::string(rule->name) +
+         " is self-addressed control, posted with Comm::post_self, never sent");
+  }
+
   if (rule->dir == TagDir::kRequest) {
     if (rule->pair != nullptr) {
       int reply_tag = 0;
@@ -441,6 +446,20 @@ void RunChecker::on_send(int src, int dst, int tag,
          << " bytes, the paired request implies " << expected;
     fail(what.str());
   }
+}
+
+void RunChecker::on_post_self(int rank, int tag) {
+  if (!opts_.lint || opts_.tags.empty()) return;
+  const TagRule* rule = rule_for(tag);
+  if (rule != nullptr && rule->dir == TagDir::kSelf) return;
+  if (rule == nullptr && !opts_.strict_tags) return;
+  std::ostringstream out;
+  out << "rtm-check: protocol violation on post_self rank " << rank << " tag "
+      << tag << ": "
+      << (rule == nullptr ? std::string("tag not in the protocol table")
+                          : std::string(rule->name) +
+                                " is not a self-addressed control tag");
+  throw ProtocolError(out.str());
 }
 
 // --- chaos hooks ----------------------------------------------------------

@@ -80,7 +80,10 @@ class DeadlockError : public std::runtime_error {
   explicit DeadlockError(const std::string& what) : std::runtime_error(what) {}
 };
 
-enum class TagDir { kRequest, kReply };
+/// kSelf marks a control tag a rank only ever posts to its own mailbox
+/// (Comm::post_self): sending it with Comm::send, to any rank, is a
+/// violation.
+enum class TagDir { kRequest, kReply, kSelf };
 
 /// One row of the declarative protocol table: a contiguous tag range with a
 /// direction, payload size bounds, and — for requests — a parser that
@@ -239,6 +242,9 @@ class RunChecker {
   /// Lints one point-to-point send; throws ProtocolError on violation.
   void on_send(int src, int dst, int tag,
                std::span<const std::byte> payload);
+  /// Lints one Comm::post_self: with a tag table, `tag` must be declared
+  /// TagDir::kSelf. Not a send, so lint_checked does not count it.
+  void on_post_self(int rank, int tag);
 
   // --- chaos hooks (called by the fault injector, see rtm/chaos.hpp) -----
 

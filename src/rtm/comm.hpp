@@ -81,6 +81,13 @@ class Comm {
     return world_->mailbox(rank_).try_pop(source, tag);
   }
 
+  /// Blocking predicate receive: first queued message satisfying `pred`.
+  /// See Mailbox::pop_match.
+  template <class Pred>
+  Message recv_match(Pred&& pred) {
+    return world_->mailbox(rank_).pop_match(std::forward<Pred>(pred));
+  }
+
   /// Timed predicate receive: first queued message satisfying `pred`,
   /// waiting up to `timeout`. See Mailbox::pop_match_for.
   template <class Pred, class Rep, class Period>
@@ -97,6 +104,23 @@ class Comm {
     return world_->mailbox(rank_).probe(source, tag);
   }
 
+  /// Posts an empty control message with `tag` to this rank's own mailbox:
+  /// a local wakeup for another thread of the rank (the communication
+  /// thread's stop), not traffic. It is not counted by the traffic
+  /// recorder and bypasses the chaos delayer, so no fault plan can drop or
+  /// delay it. The linter still checks it: a tag the protocol table does
+  /// not declare self-addressed (check::TagDir::kSelf) throws
+  /// check::ProtocolError, as does sending a kSelf tag with send().
+  void post_self(int tag) {
+    Message m;
+    m.source = rank_;
+    m.tag = tag;
+    if (check::RunChecker* check = world_->checker()) {
+      check->on_post_self(rank_, tag);
+    }
+    world_->mailbox(rank_).push(std::move(m));
+  }
+
   /// Number of messages queued at this rank (diagnostics).
   std::size_t pending() const { return world_->mailbox(rank_).size(); }
 
@@ -111,6 +135,20 @@ class Comm {
       check->on_phase_boundary(rank_, pending());
     }
     world_->barrier().arrive_and_wait(rank_);
+  }
+
+  /// barrier() for scope exits, which may run during unwinding: never
+  /// throws. Once rtm-check has aborted the run it returns without waiting
+  /// (also from a wait already begun); the blocked threads carry the
+  /// DeadlockError.
+  void exit_barrier() noexcept {
+    check::RunChecker* check = world_->checker();
+    if (check != nullptr && check->aborted()) return;
+    try {
+      barrier();
+    } catch (const check::DeadlockError&) {
+      // Aborted mid-wait: the run already fails with this error.
+    }
   }
 
   /// MPI_Alltoallv: `send[d]` goes to rank d; returns the per-source
@@ -198,38 +236,6 @@ class Comm {
   template <class T>
   T allreduce_min(const T& value) {
     return allreduce(value, [](const T& a, const T& b) { return a < b ? a : b; });
-  }
-
-  // --- phase completion ------------------------------------------------------
-  // Termination protocol for the correction phase: each rank announces when
-  // its own correction work is done; communication threads keep serving
-  // until every rank has announced and their request queues drained.
-
-  /// Collectively resets the completion counter (call before the phase).
-  void reset_done() {
-    barrier();
-    // mo: release so ranks that acquire the counter in all_done() also see
-    // any pre-phase state written before the reset; the surrounding
-    // barriers already order the reset itself against both phases.
-    if (rank_ == 0) world_->done_count().store(0, std::memory_order_release);
-    barrier();
-  }
-
-  /// Announces this rank's phase completion.
-  void signal_done() {
-    // mo: acq_rel — release publishes this rank's final sends before its
-    // announcement; acquire chains earlier announcements so the last
-    // incrementer's view covers every rank's published work.
-    world_->done_count().fetch_add(1, std::memory_order_acq_rel);
-  }
-
-  /// True when every rank has announced completion.
-  bool all_done() const {
-    // mo: acquire pairs with signal_done's release: seeing the full count
-    // makes every rank's pre-announcement sends visible to the server
-    // loop that is about to stop draining.
-    return world_->done_count().load(std::memory_order_acquire) ==
-           world_->size();
   }
 
  private:

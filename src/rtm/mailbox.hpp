@@ -226,48 +226,19 @@ class Mailbox {
   template <class Pred, class Rep, class Period>
   std::optional<Message> pop_match_for(
       Pred&& pred, std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock lock(mutex_);
     const auto deadline = std::chrono::steady_clock::now() + timeout;
-    SlowSection slow(*this);
-    // The predicate is opaque, so the registered filter is a wildcard.
-    Waiter waiter{kAnySource, kAnyTag};
-    const WaiterScope scope(*this, &waiter);
-    std::uint64_t scan_from = 0;  // stamps below this are already examined
-    bool notified = false;
-    while (true) {
-      auto& queue = core_.queue();
-      auto it = queue.begin();
-      if (scan_from != 0) {
-        // Deque stamps are ascending (assigned on deque entry), so the
-        // resume point is a binary search away.
-        it = std::lower_bound(
-            queue.begin(), queue.end(), scan_from,
-            [](const Core::Entry& q, std::uint64_t s) { return q.stamp < s; });
-      }
-      for (; it != queue.end(); ++it) {
-        if (pred(it->msg)) return take_locked(it);
-      }
-      scan_from = core_.next_stamp();
-      if (notified) {
-        // mo: relaxed stat counter.
-        futile_wakeups_.fetch_add(1, std::memory_order_relaxed);
-        notified = false;
-      }
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) return std::nullopt;
-      // mo: relaxed re-read; the acquire at entry ordered construction.
-      check::RunChecker* check = check_.load(std::memory_order_relaxed);
-      if (check != nullptr && check->aborted()) return std::nullopt;
-      auto wake = deadline;
-      if (check != nullptr) {
-        const auto slice = now + check->poll_interval();
-        if (slice < wake) wake = slice;
-      }
-      slow.pause();
-      const auto status = cv_.wait_until(lock, wake);
-      slow.resume();
-      notified = status == std::cv_status::no_timeout;
-    }
+    return pop_match_until(pred, &deadline);
+  }
+
+  /// pop_match_for without a timeout: blocks until a message satisfies
+  /// `pred`. Without a checker the wait is one untimed condvar sleep, woken
+  /// only by pushes; with one it wakes every poll interval and throws the
+  /// checker's abort error once the run is aborted.
+  template <class Pred>
+  Message pop_match(Pred&& pred) {
+    if (auto m = pop_match_until(pred, nullptr)) return std::move(*m);
+    // mo: relaxed re-read; pop_match_until's acquire ordered construction.
+    check_.load(std::memory_order_relaxed)->throw_abort();
   }
 
   /// Non-blocking probe: envelope of the first matching message without
@@ -321,6 +292,60 @@ class Mailbox {
   }
 
  private:
+  /// Shared body of pop_match_for (finite `deadline`) and pop_match
+  /// (`deadline` null: wait until a match or a checker abort).
+  template <class Pred>
+  std::optional<Message> pop_match_until(
+      Pred& pred, const std::chrono::steady_clock::time_point* deadline) {
+    std::unique_lock lock(mutex_);
+    SlowSection slow(*this);
+    // The predicate is opaque, so the registered filter is a wildcard.
+    Waiter waiter{kAnySource, kAnyTag};
+    const WaiterScope scope(*this, &waiter);
+    // Drain again after publishing the registration (the receiving half of
+    // the Dekker handshake, as in pop_slow_blocking): a lock-free push that
+    // landed between SlowSection's drain and the registration skipped its
+    // notify, and an untimed wait would never see it.
+    core_.drain_ring_locked();
+    // mo: acquire on check_ (see set_check).
+    check::RunChecker* check = check_.load(std::memory_order_acquire);
+    std::uint64_t scan_from = 0;  // stamps below this are already examined
+    bool notified = false;
+    while (true) {
+      auto& queue = core_.queue();
+      auto it = queue.begin();
+      if (scan_from != 0) {
+        // Deque stamps are ascending (assigned on deque entry), so the
+        // resume point is a binary search away.
+        it = std::lower_bound(
+            queue.begin(), queue.end(), scan_from,
+            [](const Core::Entry& q, std::uint64_t s) { return q.stamp < s; });
+      }
+      for (; it != queue.end(); ++it) {
+        if (pred(it->msg)) return take_locked(it);
+      }
+      scan_from = core_.next_stamp();
+      if (notified) {
+        // mo: relaxed stat counter.
+        futile_wakeups_.fetch_add(1, std::memory_order_relaxed);
+        notified = false;
+      }
+      const auto now = std::chrono::steady_clock::now();
+      if (deadline != nullptr && now >= *deadline) return std::nullopt;
+      if (check != nullptr && check->aborted()) return std::nullopt;
+      slow.pause();
+      if (check == nullptr && deadline == nullptr) {
+        cv_.wait(lock);
+        notified = true;
+      } else {
+        auto wake = check != nullptr ? now + check->poll_interval() : *deadline;
+        if (deadline != nullptr && *deadline < wake) wake = *deadline;
+        notified = cv_.wait_until(lock, wake) == std::cv_status::no_timeout;
+      }
+      slow.resume();
+    }
+  }
+
   /// A blocked receiver's filter, registered while it waits so push can
   /// decide whether anyone cares about a new envelope.
   struct Waiter {

@@ -9,10 +9,11 @@
 //     never allowed to reach std::thread's terminate path;
 //   - only the FIRST captured exception is kept (the one a caller rethrows);
 //   - the optional before_join callback runs exactly once before the first
-//     join — on the normal path and on exception unwind alike. The drivers
-//     use it for Comm::signal_done(), which must precede joining the
-//     communication thread (the service loops until every rank is done) and
-//     must not run twice;
+//     join — on the normal path and on exception unwind alike. CorrectStage
+//     uses it to end the correction phase (SpectrumModel::announce_done: a
+//     barrier, then the stop the communication thread waits for), which
+//     must precede joining that thread and must not run twice. Since it
+//     may run during unwind, it must not throw;
 //   - the destructor joins, so no scope exit — including unwind from a
 //     throwing stage — leaks a joinable thread.
 

@@ -1,8 +1,7 @@
 #pragma once
 // Shared state of one runtime instance: mailboxes, barrier, collective
-// staging, phase-completion flags, traffic counters, optional checkers.
+// staging, traffic counters, optional checkers.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -116,10 +115,6 @@ class World {
   /// to rank r's send-side data, valid between the entry and exit barriers.
   std::vector<const void*>& staging() noexcept { return staging_; }
 
-  /// Phase-completion counter used by the correction phase's termination
-  /// protocol (see parallel::LookupService).
-  std::atomic<int>& done_count() noexcept { return done_count_; }
-
   TrafficRecorder& traffic() noexcept { return traffic_; }
 
   /// Enables chaos delivery (see rtm/chaos.hpp): every subsequent
@@ -157,7 +152,6 @@ class World {
   std::vector<Mailbox> mailboxes_;
   Barrier barrier_;
   std::vector<const void*> staging_;
-  std::atomic<int> done_count_{0};
   TrafficRecorder traffic_;
   std::unique_ptr<ChaosDelayer> chaos_;
   // Declared after chaos_ so the checker is destroyed FIRST: ~RunChecker

@@ -370,6 +370,11 @@ struct PhaseTimeline {
   double construct_seconds = 0;  ///< k-mer construction wall time
   double correct_seconds = 0;    ///< error-correction wall time
   double comm_seconds = 0;       ///< of which blocked on remote replies
+  /// Context switches of the correction threads (workers and the
+  /// communication thread), from getrusage(RUSAGE_THREAD) deltas. They
+  /// depend on the schedule, so no exact gate may list them.
+  std::uint64_t correct_voluntary_switches = 0;
+  std::uint64_t correct_involuntary_switches = 0;
 
   /// Per-stage wall times in graph order, recorded by pipeline::StageGraph.
   std::vector<StageSample> stages;
@@ -406,6 +411,10 @@ struct PhaseTimeline {
         gauge(&S::construct_seconds, "reptile_construct_seconds"),
         gauge(&S::correct_seconds, "reptile_correct_seconds"),
         gauge(&S::comm_seconds, "reptile_comm_seconds"),
+        counter(&S::correct_voluntary_switches,
+                "reptile_correct_voluntary_switches"),
+        counter(&S::correct_involuntary_switches,
+                "reptile_correct_involuntary_switches"),
     };
   }
 };

@@ -1,5 +1,8 @@
 #pragma once
-// Wall-clock stopwatch and accumulating phase timers.
+// Wall-clock stopwatch, accumulating phase timers and the per-thread
+// context-switch meter.
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdint>
@@ -45,6 +48,43 @@ class Accumulator {
                 "Accumulator must use a monotonic clock (see Stopwatch)");
   clock::time_point start_{};
   double total_ = 0;
+};
+
+/// Context switches of the calling thread since construction, from
+/// getrusage(RUSAGE_THREAD): voluntary ones (the thread blocked and gave up
+/// its CPU) and involuntary ones (the scheduler preempted it). This is the
+/// kernel's bill for a thread's waits. Its CPU-time fields are not used:
+/// they undercount on virtualized hosts. Construct and read it on the same
+/// thread; counts are 0 where RUSAGE_THREAD does not exist.
+class SwitchMeter {
+ public:
+  SwitchMeter() { sample(voluntary_, involuntary_); }
+
+  /// Adds the switches since construction to the two counters.
+  void add_to(std::uint64_t& voluntary, std::uint64_t& involuntary) const {
+    std::uint64_t v = 0;
+    std::uint64_t iv = 0;
+    sample(v, iv);
+    voluntary += v - voluntary_;
+    involuntary += iv - involuntary_;
+  }
+
+ private:
+  static void sample(std::uint64_t& voluntary, std::uint64_t& involuntary) {
+#ifdef RUSAGE_THREAD
+    rusage usage{};
+    if (getrusage(RUSAGE_THREAD, &usage) == 0) {
+      voluntary = static_cast<std::uint64_t>(usage.ru_nvcsw);
+      involuntary = static_cast<std::uint64_t>(usage.ru_nivcsw);
+      return;
+    }
+#endif
+    voluntary = 0;
+    involuntary = 0;
+  }
+
+  std::uint64_t voluntary_ = 0;
+  std::uint64_t involuntary_ = 0;
 };
 
 }  // namespace reptile::stats

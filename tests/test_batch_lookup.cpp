@@ -153,11 +153,10 @@ TEST(BatchProtocol, ServiceAnswersVectoredRequest) {
           comm.recv(0, 98).as_value<std::uint64_t>());
     }
 
-    comm.reset_done();
     if (comm.rank() == 0) {
       LookupService service(comm, spectrum);
       std::thread server([&service] { service.serve(); });
-      comm.signal_done();
+      end_correction_phase(comm, /*stop_service=*/true);
       server.join();
       stats = service.stats();
     } else {
@@ -174,7 +173,7 @@ TEST(BatchProtocol, ServiceAnswersVectoredRequest) {
       ASSERT_EQ(reply.count, 2u);
       EXPECT_EQ(reply.count_at(0), static_cast<std::int32_t>(probe_count));
       EXPECT_EQ(reply.count_at(1), -1);  // absent IDs reply -1, index-aligned
-      comm.signal_done();
+      end_correction_phase(comm, /*stop_service=*/false);
     }
     comm.barrier();
   });
@@ -443,11 +442,10 @@ TEST(BatchedLookups, CrossKindIdCountedInBothTables) {
       for (const auto& b : solid) spectrum.add_read(b);
     }
     spectrum.exchange_to_owners();
-    comm.reset_done();
     if (comm.rank() == 0) {
       LookupService service(comm, spectrum);
       std::thread server([&service] { service.serve(); });
-      comm.signal_done();
+      end_correction_phase(comm, /*stop_service=*/true);
       server.join();
     } else {
       RemoteSpectrumView view(comm, spectrum);
@@ -466,7 +464,7 @@ TEST(BatchedLookups, CrossKindIdCountedInBothTables) {
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].bases, expected[i].bases) << "read " << i;
       }
-      comm.signal_done();
+      end_correction_phase(comm, /*stop_service=*/false);
     }
     comm.barrier();
   });
@@ -539,7 +537,6 @@ TEST_P(OnePassChunk, EqualsPrefetchThenCorrect) {
       spectrum.drop_reads_tables();
     }
     spectrum.exchange_filters(RetryPolicy{});
-    comm.reset_done();
     LookupService service(comm, spectrum);
     std::thread server([&service] { service.serve(); });
     // Corrects the batch both ways with `params`; returns the two-pass
@@ -587,7 +584,7 @@ TEST_P(OnePassChunk, EqualsPrefetchThenCorrect) {
       EXPECT_GE(ended.wavefront_rounds, 2u);
       EXPECT_GT(ended.remote_lookups(), 0u);
     }
-    comm.signal_done();
+    end_correction_phase(comm, /*stop_service=*/true);
     server.join();
     comm.barrier();
   });

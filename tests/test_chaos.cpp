@@ -89,7 +89,6 @@ TEST(Chaos, LookupProtocolUnderDelays) {
         for (const auto& r : ds.reads) spectrum.add_read(r.bases);
         spectrum.exchange_to_owners();
 
-        comm.reset_done();
         parallel::LookupService service(comm, spectrum);
         std::thread server([&service] { service.serve(); });
 
@@ -108,7 +107,7 @@ TEST(Chaos, LookupProtocolUnderDelays) {
           // Every rank added every read once; owners sum all 3 ranks.
           ASSERT_EQ(view.kmer_count(id), 3 * local.kmer_count(id));
         }
-        comm.signal_done();
+        parallel::end_correction_phase(comm, /*stop_service=*/true);
         server.join();
         comm.barrier();
       },

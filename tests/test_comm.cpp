@@ -7,6 +7,11 @@
 #include <array>
 #include <atomic>
 #include <numeric>
+#include <thread>
+
+#include "parallel/dist_spectrum.hpp"
+#include "parallel/lookup_service.hpp"
+#include "parallel/protocol.hpp"
 
 namespace reptile::rtm {
 namespace {
@@ -156,20 +161,50 @@ TEST(Comm, AllreduceVariants) {
   });
 }
 
-TEST(Comm, DoneCountingProtocol) {
-  run_world({4, 1}, [](Comm& comm) {
-    comm.reset_done();
-    EXPECT_FALSE(comm.all_done());
-    comm.signal_done();
+TEST(Comm, ServiceStopComesAfterEveryQueuedRequest) {
+  // The correction phase ends with a barrier and a stop each rank posts to
+  // itself. Every request queued before the stop is answered, then serve()
+  // returns; the stop itself is no traffic.
+  constexpr int kRequests = 40;
+  parallel::ServiceStats stats;
+  auto world = run_world({2, 1}, [&](Comm& comm) {
+    core::CorrectorParams params;
+    params.k = 8;
+    params.tile_overlap = 2;
+    parallel::DistSpectrum spectrum(params, parallel::Heuristics{}, comm);
+    spectrum.exchange_to_owners();
+    if (comm.rank() == 1) {
+      for (int i = 0; i < kRequests; ++i) {
+        parallel::LookupRequest req;
+        req.id = static_cast<std::uint64_t>(i);
+        comm.send_value(0, parallel::kTagKmerRequest, req);
+      }
+    }
+    // Every request is in rank 0's mailbox before its stop is posted, and
+    // before its service even starts.
+    parallel::end_correction_phase(comm, /*stop_service=*/comm.rank() == 0);
+    if (comm.rank() == 0) {
+      parallel::LookupService service(comm, spectrum);
+      std::thread server([&service] { service.serve(); });
+      server.join();
+      stats = service.stats();
+      EXPECT_EQ(comm.pending(), 0u);
+    } else {
+      for (int i = 0; i < kRequests; ++i) {
+        EXPECT_EQ(comm.recv(0, parallel::kTagKmerReply)
+                      .as_value<parallel::LookupReply>()
+                      .count,
+                  -1);  // the spectrum is empty
+      }
+    }
     comm.barrier();
-    EXPECT_TRUE(comm.all_done());
-    // Second phase reuses the counter after reset.
-    comm.reset_done();
-    EXPECT_FALSE(comm.all_done());
-    comm.signal_done();
-    comm.barrier();
-    EXPECT_TRUE(comm.all_done());
   });
+  EXPECT_EQ(stats.requests_served, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(world->traffic().snapshot(0).sent_msgs(),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(world->traffic().snapshot(1).sent_msgs(),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(world->checker()->snapshot(0).leaked_messages, 0u);
 }
 
 TEST(Comm, TrafficClassifiesIntraVsInterNode) {

@@ -255,11 +255,10 @@ TEST(FaultInjection, StaleRepliesAreSuppressedBySequenceNumber) {
     }
     comm.barrier();
 
-    comm.reset_done();
     if (comm.rank() == 0) {
       parallel::LookupService service(comm, spectrum);
       std::thread server([&service] { service.serve(); });
-      comm.signal_done();
+      parallel::end_correction_phase(comm, /*stop_service=*/true);
       server.join();
     } else {
       probe_id = comm.recv(0, 99).as_value<std::uint64_t>();
@@ -269,7 +268,7 @@ TEST(FaultInjection, StaleRepliesAreSuppressedBySequenceNumber) {
       EXPECT_EQ(view.kmer_count(probe_id), probe_count);
       EXPECT_EQ(view.remote_stats().stale_replies_suppressed, 1u);
       EXPECT_EQ(view.degraded_lookups(), 0u);
-      comm.signal_done();
+      parallel::end_correction_phase(comm, /*stop_service=*/false);
     }
     comm.barrier();
   });
@@ -296,11 +295,10 @@ TEST(FaultInjection, RetriesRecoverDroppedLookups) {
         parallel::DistSpectrum spectrum(params, parallel::Heuristics{}, comm);
         for (const auto& r : ds.reads) spectrum.add_read(r.bases);
         spectrum.exchange_to_owners();
-        comm.reset_done();
         if (comm.rank() == 0) {
           parallel::LookupService service(comm, spectrum);
           std::thread server([&service] { service.serve(); });
-          comm.signal_done();
+          parallel::end_correction_phase(comm, /*stop_service=*/true);
           server.join();
         } else {
           parallel::RemoteSpectrumView view(comm, spectrum, 0, false, retry);
@@ -324,7 +322,7 @@ TEST(FaultInjection, RetriesRecoverDroppedLookups) {
           }
           const auto& rs = view.remote_stats();
           EXPECT_GT(rs.lookup_timeouts + rs.lookup_retries, 0u);
-          comm.signal_done();
+          parallel::end_correction_phase(comm, /*stop_service=*/false);
         }
         comm.barrier();
       },

@@ -58,16 +58,16 @@ void run_protocol_test(
           comm.recv(0, 98).as_value<std::uint64_t>());
     }
 
-    comm.reset_done();
     if (comm.rank() == 0) {
       LookupService service(comm, spectrum);
       std::thread server([&service] { service.serve(); });
-      comm.signal_done();  // rank 0 has no correction work of its own
+      // Rank 0 has no correction work of its own.
+      end_correction_phase(comm, /*stop_service=*/true);
       server.join();
       if (stats_out) *stats_out = service.stats();
     } else {
       driver(comm, probe_id, probe_count);
-      comm.signal_done();
+      end_correction_phase(comm, /*stop_service=*/false);
     }
     comm.barrier();
   });

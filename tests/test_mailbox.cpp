@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 namespace reptile::rtm {
@@ -157,6 +159,57 @@ TEST(Mailbox, PopMatchForFindsLaterArrival) {
   ASSERT_TRUE(m);
   EXPECT_EQ(m->source, 2);
   producer.join();
+}
+
+TEST(Mailbox, PopMatchWaitsUntilAMatchArrives) {
+  Mailbox mb;
+  std::thread producer([&mb] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    mb.push(msg(3, 99));  // wakes the wildcard waiter, does not match
+    mb.push(msg(2, 42, 5));
+  });
+  const Message m =
+      mb.pop_match([](const Message& q) { return q.tag == 42; });
+  EXPECT_EQ(m.source, 2);
+  producer.join();
+  EXPECT_EQ(mb.size(), 1u);
+}
+
+TEST(Mailbox, PopMatchNeverMissesARacingFastPush) {
+  // The untimed predicate receive sleeps until a push notifies it, so a
+  // lock-free push racing the receiver's registration must not skip the
+  // notify unseen. Each round lets the consumer announce itself, then
+  // pushes after a delay that sweeps the receiver's entry path; a round
+  // that stays blocked is rescued by a second push and counted.
+  Mailbox mb;
+  constexpr int kRounds = 4000;
+  int missed = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<bool> entering{false};
+    std::atomic<bool> done{false};
+    std::thread consumer([&mb, &entering, &done] {
+      entering.store(true);
+      (void)mb.pop_match([](const Message& q) { return q.tag == 1; });
+      done.store(true);
+    });
+    while (!entering.load()) {
+    }
+    for (int spin = 0; spin < round % 200; ++spin) detail::cpu_pause();
+    mb.push(msg(0, 1));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (!done.load()) {
+      ++missed;
+      mb.push(msg(0, 1));
+    }
+    consumer.join();
+    while (mb.try_pop(0, 1)) {
+    }
+  }
+  EXPECT_EQ(missed, 0);
 }
 
 TEST(Mailbox, ConcurrentSelectivePopsDoNotSteal) {

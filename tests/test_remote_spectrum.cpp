@@ -45,16 +45,15 @@ void with_remote_view(
     if (heur.read_kmers) spectrum.fetch_global_reads_tables();
     spectrum.replicate_group();
 
-    comm.reset_done();
     if (comm.rank() == 0) {
       LookupService service(comm, spectrum);
       std::thread server([&service] { service.serve(); });
-      comm.signal_done();
+      end_correction_phase(comm, /*stop_service=*/true);
       server.join();
     } else {
       RemoteSpectrumView view(comm, spectrum);
       body(comm, spectrum, view);
-      comm.signal_done();
+      end_correction_phase(comm, /*stop_service=*/false);
     }
     comm.barrier();
   });

@@ -188,7 +188,7 @@ TEST(CounterTable, EveryRowReachesPrometheusAndTheReportOnce) {
         EXPECT_NE(json.find(column.str()), std::string::npos) << column.str();
       },
       r);
-  EXPECT_EQ(metrics.size(), 49u);  // 13 timeline, 4 + 23 + 9 nested
+  EXPECT_EQ(metrics.size(), 51u);  // 15 timeline, 4 + 23 + 9 nested
 }
 
 TEST(CounterTable, MergeSumsCountersAndKeepsTheMaxOfGauges) {

@@ -283,11 +283,10 @@ TEST_F(LedgerTest, WavefrontBuffersBalanceEqualsViewMemoryBytes) {
       for (const auto& r : ds.reads) spectrum.add_read(r.bases);
     }
     spectrum.exchange_to_owners();
-    comm.reset_done();
     if (comm.rank() == 0) {
       parallel::LookupService service(comm, spectrum);
       std::thread server([&service] { service.serve(); });
-      comm.signal_done();
+      parallel::end_correction_phase(comm, /*stop_service=*/true);
       server.join();
     } else {
       {
@@ -298,7 +297,7 @@ TEST_F(LedgerTest, WavefrontBuffersBalanceEqualsViewMemoryBytes) {
         EXPECT_EQ(balance(LedgerAccount::kRemoteCache), view.memory_bytes());
       }
       EXPECT_EQ(balance(LedgerAccount::kRemoteCache), 0u);
-      comm.signal_done();
+      parallel::end_correction_phase(comm, /*stop_service=*/false);
     }
     comm.barrier();
   });

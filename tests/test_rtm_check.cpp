@@ -347,6 +347,30 @@ TEST(RtmCheckLint, ReplySizeMismatchThrows) {
       rtm::check::ProtocolError);
 }
 
+TEST(RtmCheckLint, ServiceStopIsSelfAddressedOnly) {
+  // The stop that ends a rank's communication thread is posted to the
+  // rank's own mailbox. Sending it, to a peer or over the wire at all, is a
+  // violation, and so is posting a tag not declared self-addressed.
+  auto world = rtm::run_world({2, 1}, [](rtm::Comm& comm) {
+    if (comm.rank() == 0) {
+      EXPECT_THROW(comm.send<std::byte>(1, parallel::kTagServiceStop, {}),
+                   rtm::check::ProtocolError);
+      EXPECT_THROW(comm.send<std::byte>(0, parallel::kTagServiceStop, {}),
+                   rtm::check::ProtocolError);
+      EXPECT_THROW(comm.post_self(parallel::kTagKmerRequest),
+                   rtm::check::ProtocolError);
+      EXPECT_THROW(comm.post_self(4242), rtm::check::ProtocolError);
+      comm.post_self(parallel::kTagServiceStop);
+      EXPECT_TRUE(comm.try_recv(0, parallel::kTagServiceStop).has_value());
+    }
+    comm.barrier();
+  }, lint_options());
+  const auto s0 = world->checker()->snapshot(0);
+  EXPECT_EQ(s0.leaked_messages, 0u);
+  EXPECT_EQ(world->checker()->snapshot(1).msgs_delivered, 0u);
+  EXPECT_EQ(world->traffic().snapshot(0).sent_msgs(), 0u);
+}
+
 TEST(RtmCheckLint, WellFormedExchangeIsAccepted) {
   // The canonical request/reply exchange sails through the strict table.
   auto world = rtm::run_world({2, 1}, [](rtm::Comm& comm) {

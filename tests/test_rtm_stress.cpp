@@ -63,21 +63,19 @@ TEST(RtmStress, CollectivesInterleavedWithPointToPoint) {
 }
 
 TEST(RtmStress, ManyPhaseCyclesWithServerThreads) {
-  // Repeated correction-phase lifecycles: reset -> serve -> done -> join.
+  // Repeated correction-phase lifecycles: serve -> barrier -> stop -> join.
   constexpr int kRanks = 6;
+  constexpr int kStop = 7;
   run_world({kRanks, 2}, [](Comm& comm) {
     for (int phase = 0; phase < 10; ++phase) {
-      comm.reset_done();
       std::atomic<int> served{0};
       std::thread server([&comm, &served] {
-        while (!comm.all_done()) {
-          if (auto m = comm.try_recv(kAnySource, 5)) {
-            comm.send_value(m->source, 6,
-                            m->as_value<std::uint64_t>() + 1);
-            served.fetch_add(1);
-          } else {
-            std::this_thread::yield();
-          }
+        while (true) {
+          const Message m = comm.recv_match(
+              [](const Message& q) { return q.tag == 5 || q.tag == kStop; });
+          if (m.tag == kStop) break;
+          comm.send_value(m.source, 6, m.as_value<std::uint64_t>() + 1);
+          served.fetch_add(1);
         }
         while (auto m = comm.try_recv(kAnySource, 5)) {
           comm.send_value(m->source, 6, m->as_value<std::uint64_t>() + 1);
@@ -96,10 +94,12 @@ TEST(RtmStress, ManyPhaseCyclesWithServerThreads) {
         ASSERT_EQ(reply.as_value<std::uint64_t>(),
                   static_cast<std::uint64_t>(q + 1));
       }
-      comm.signal_done();
+      comm.barrier();
+      comm.post_self(kStop);
       server.join();
       comm.barrier();
       ASSERT_EQ(comm.pending(), 0u) << "phase " << phase;
+      comm.barrier();  // no rank starts the next phase before the check
     }
   });
 }
