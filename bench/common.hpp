@@ -104,6 +104,9 @@ struct ScalingModeledRow {
   double total_seconds = 0;
   double mb_per_rank = 0;
   double efficiency = 0;
+  /// Peer filters per rank had the row run with filter_lookups on
+  /// (modeled_filter_mb).
+  double filter_mb_per_rank = 0;
 };
 
 /// Writes the scaling JSON consumed by tools/bench_gate.py (`scaling`
@@ -143,10 +146,11 @@ inline bool write_scaling_json(const std::string& path, const char* figure,
     std::fprintf(out,
                  "    \"%d\": {\"construct_seconds\": %.3f, "
                  "\"correct_seconds\": %.3f, \"total_seconds\": %.3f, "
-                 "\"mb_per_rank\": %.3f, \"efficiency\": %.4f}%s\n",
+                 "\"mb_per_rank\": %.3f, \"efficiency\": %.4f, "
+                 "\"filter_mb_per_rank\": %.3f}%s\n",
                  r.ranks, r.construct_seconds, r.correct_seconds,
                  r.total_seconds, r.mb_per_rank, r.efficiency,
-                 i + 1 < modeled.size() ? "," : "");
+                 r.filter_mb_per_rank, i + 1 < modeled.size() ? "," : "");
   }
   std::fprintf(out, "  }\n}\n");
   std::fclose(out);
@@ -154,20 +158,34 @@ inline bool write_scaling_json(const std::string& path, const char* figure,
   return true;
 }
 
-/// Corrector parameters used across the reproduction benches. k=12 tiles of
-/// 20 bp, threshold 3, and a wide per-tile search (the paper's workload is
-/// dominated by candidate-tile lookups).
+/// Modeled peer-filter MB per rank of `heur` with filter_lookups on: what
+/// the default mode would add to a paper row. The byte cap (DESIGN.md §9)
+/// allows no filter from 161 ranks on, so at the paper's scale this is 0.
+inline double modeled_filter_mb(const perfmodel::MachineModel& machine,
+                                const perfmodel::DatasetTraits& traits,
+                                const seq::DatasetSpec& full, int np,
+                                int ranks_per_node, parallel::Heuristics heur) {
+  heur.filter_lookups = true;
+  return perfmodel::model_run(machine, traits, full, np, ranks_per_node, heur)
+      .max_filter_mb();
+}
+
 /// The paper's heuristics defaults: the base mode with load balancing and
-/// the scalar lookup protocol (one blocking round trip per remote lookup),
-/// which is what the modeled figures and their functional checks
-/// reproduce. The chunk wavefront (batch_lookups, on by default) is an
-/// extension; fig5 measures it in its own rows.
+/// the scalar, unfiltered lookup protocol (one blocking round trip per
+/// remote lookup), which is what the modeled figures and their functional
+/// checks reproduce. The chunk wavefront and the peer filters
+/// (batch_lookups and filter_lookups, both on by default) are extensions;
+/// fig5 measures them in their own rows.
 inline parallel::Heuristics paper_heuristics() {
   parallel::Heuristics h;
   h.batch_lookups = false;
+  h.filter_lookups = false;
   return h;
 }
 
+/// Corrector parameters used across the reproduction benches. k=12 tiles of
+/// 20 bp, threshold 3, and a wide per-tile search (the paper's workload is
+/// dominated by candidate-tile lookups).
 inline core::CorrectorParams bench_params() {
   core::CorrectorParams p;
   p.k = 12;

@@ -12,7 +12,8 @@
 //     1648 MB/rank.
 //
 // The modeled table mirrors those configurations. A functional section
-// compares heuristics with measured counters at 8 ranks.
+// compares heuristics with measured counters at 8 ranks, led by the
+// program's default mode.
 
 #include <cstdio>
 #include <cstring>
@@ -108,6 +109,10 @@ int main(int argc, char** argv) {
                        "served", "prefetch hits", "filter neg",
                        "peak MB (max rank)"});
   const Row fn_rows[] = {
+      // The program's default mode (Heuristics{}: load balancing, the chunk
+      // wavefront and byte-capped peer filters), pinned so its traffic
+      // cannot drift unseen; every other row is the ablation.
+      {"defaults", 8, 4, parallel::Heuristics{}, "defaults"},
       {"base", 8, 4, h([](auto&) {}), "base"},
       {"universal", 8, 4, h([](auto& x) { x.universal = true; }), "universal"},
       {"read kmers", 8, 4, h([](auto& x) { x.read_kmers = true; }),

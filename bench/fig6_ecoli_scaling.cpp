@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
 
   stats::TextTable table({"nodes", "ranks", "construct s", "correct s",
                           "total s", "imbalanced total s", "balance gain",
-                          "MB/rank", "efficiency"});
+                          "MB/rank", "filter MB/rank", "efficiency"});
   perfmodel::RunEstimate baseline;
   std::vector<bench::ScalingModeledRow> modeled_rows;
   for (int nodes : {32, 64, 128, 256}) {
@@ -44,6 +44,8 @@ int main(int argc, char** argv) {
     if (baseline.ranks.empty()) baseline = run;
     const double eff =
         perfmodel::RunEstimate::parallel_efficiency(baseline, run);
+    const double filter_mb = bench::modeled_filter_mb(
+        machine, traits, full, np, kRanksPerNode, balanced);
     table.row()
         .cell(nodes)
         .cell(np)
@@ -53,9 +55,11 @@ int main(int argc, char** argv) {
         .cell_fixed(imb.total_seconds(), 1)
         .cell_fixed(imb.total_seconds() / run.total_seconds(), 2)
         .cell_fixed(run.max_memory_mb(), 1)
+        .cell_fixed(filter_mb, 2)
         .cell_fixed(eff, 2);
     modeled_rows.push_back({np, run.construct_seconds(), run.correct_seconds(),
-                            run.total_seconds(), run.max_memory_mb(), eff});
+                            run.total_seconds(), run.max_memory_mb(), eff,
+                            filter_mb});
   }
   table.print(std::cout);
 

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
 
   stats::TextTable table({"nodes", "ranks", "batch", "construct s",
                           "correct s", "total s", "total h", "MB/rank",
-                          "<512MB"});
+                          "<512MB", "filter MB/rank"});
   std::vector<bench::ScalingModeledRow> modeled_rows;
   perfmodel::RunEstimate baseline;
   for (int nodes : {128, 256, 512, 1024}) {
@@ -41,6 +41,8 @@ int main(int argc, char** argv) {
     const auto run =
         perfmodel::model_run(machine, t, full, np, kRanksPerNode, heur);
     if (baseline.ranks.empty()) baseline = run;
+    const double filter_mb = bench::modeled_filter_mb(
+        machine, t, full, np, kRanksPerNode, heur);
     table.row()
         .cell(nodes)
         .cell(np)
@@ -50,11 +52,13 @@ int main(int argc, char** argv) {
         .cell_fixed(run.total_seconds(), 0)
         .cell_fixed(run.total_seconds() / 3600.0, 2)
         .cell_fixed(run.max_memory_mb(), 1)
-        .cell(run.max_memory_mb() < 512.0 ? "yes" : "NO");
+        .cell(run.max_memory_mb() < 512.0 ? "yes" : "NO")
+        .cell_fixed(filter_mb, 2);
     modeled_rows.push_back(
         {np, run.construct_seconds(), run.correct_seconds(),
          run.total_seconds(), run.max_memory_mb(),
-         perfmodel::RunEstimate::parallel_efficiency(baseline, run)});
+         perfmodel::RunEstimate::parallel_efficiency(baseline, run),
+         filter_mb});
   }
   table.print(std::cout);
 

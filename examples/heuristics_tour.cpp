@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
 
   auto with = [&](auto setup) {
     parallel::Heuristics h;  // load_balance defaults on
-    h.batch_lookups = false;  // the paper's scalar lookup protocol
+    h.batch_lookups = false;  // the paper's scalar, unfiltered protocol
+    h.filter_lookups = false;
     setup(h);
     return h;
   };
@@ -71,6 +72,8 @@ int main(int argc, char** argv) {
       {"bloom_construction",
        with([](auto& h) { h.bloom_construction = true; })},
       {"batch_lookups", with([](auto& h) { h.batch_lookups = true; })},
+      {"filter_lookups", with([](auto& h) { h.filter_lookups = true; })},
+      {"defaults", parallel::Heuristics{}},
   };
 
   std::printf("dataset: %llu reads, %d ranks — identical output expected in "
@@ -119,8 +122,11 @@ int main(int argc, char** argv) {
       " - allgather_tiles kills the dominant tile traffic, allgather_both "
       "kills all of it, both at a large memory cost;\n"
       " - batch_reads caps the construction-phase peak memory;\n"
-      " - batch_lookups (the chunk wavefront, the default outside this tour)\n"
-      "   sends every remote lookup inside vectored batches: no scalar\n"
-      "   round trips at all.\n");
+      " - batch_lookups (the chunk wavefront) sends every remote lookup\n"
+      "   inside vectored batches: no scalar round trips at all;\n"
+      " - filter_lookups answers most absent lookups from the owners'\n"
+      "   filters, held to at most the rank's own table bytes;\n"
+      " - defaults is what the program runs outside this tour: both\n"
+      "   extensions on.\n");
   return 0;
 }

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <numbers>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -49,6 +50,7 @@ class OwnerFilter {
   /// 8 x u64 = 512 bits: one cache line per key.
   static constexpr std::size_t kBlockWords = 8;
   static constexpr std::size_t kBlockBits = kBlockWords * 64;
+  static constexpr std::size_t kBlockBytes = kBlockWords * 8;
 
   /// Sizes the filter for `expected` distinct keys at roughly `fp_rate`.
   /// The standard m = -n ln p / (ln 2)^2 sizing is inflated by a small
@@ -60,17 +62,37 @@ class OwnerFilter {
       throw std::invalid_argument("OwnerFilter: fp_rate must be in (0, 1)");
     }
     expected = expected == 0 ? 1 : expected;
-    const double ln2 = 0.6931471805599453;
-    const double m = -static_cast<double>(expected) * std::log(fp_rate) /
-                     (ln2 * ln2) * kBlockedInflation;
+    const double m = static_cast<double>(expected) * bits_per_key(fp_rate);
     const std::size_t nbits =
         std::max(kBlockBits, static_cast<std::size_t>(m));
     nblocks_ = (nbits + kBlockBits - 1) / kBlockBits;
     blocks_.assign(nblocks_ * kBlockWords, 0);
     charge_.set(blocks_.size() * sizeof(std::uint64_t));
     const int k = static_cast<int>(std::lround(
-        m / static_cast<double>(expected) * ln2));
+        m / static_cast<double>(expected) * std::numbers::ln2));
     nhashes_ = k < 1 ? 1 : (k > kMaxHashes ? kMaxHashes : k);
+  }
+
+  /// Bits per key the sizing rule spends at `fp_rate`: -ln p / (ln 2)^2,
+  /// times the blocked inflation.
+  static double bits_per_key(double fp_rate) noexcept {
+    return -std::log(fp_rate) / kLn2Squared * kBlockedInflation;
+  }
+
+  /// The sizing rule inverted: the rate `bits` bits per key buy.
+  static double fp_rate_at(double bits) noexcept {
+    return std::exp(-bits * kLn2Squared / kBlockedInflation);
+  }
+
+  /// Sizing by bytes: the lowest rate at which a filter over `expected`
+  /// keys takes at most `max_bytes` (whole blocks). A filter built at this
+  /// rate or above fits. 1 when not even one block fits.
+  static double fp_rate_for_bytes(std::size_t expected,
+                                  std::size_t max_bytes) noexcept {
+    const std::size_t blocks = max_bytes / kBlockBytes;
+    if (blocks == 0) return 1.0;
+    return fp_rate_at(static_cast<double>(blocks * kBlockBits) /
+                      static_cast<double>(expected == 0 ? 1 : expected));
   }
 
   /// Builds a filter over every ID of a pruned owned table, keyed by
@@ -224,6 +246,7 @@ class OwnerFilter {
   /// configured one.
   static constexpr double kBlockedInflation = 1.3;
   static constexpr int kMaxHashes = 16;
+  static constexpr double kLn2Squared = std::numbers::ln2 * std::numbers::ln2;
 
   OwnerFilter() = default;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "parallel/wire.hpp"
 
@@ -205,29 +206,49 @@ void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
   // deadlock even without retry timeouts. Kinds resolved by allgather
   // replication never go remote, and their owned shards were cleared by
   // replicate() anyway — no filter to build.
+  //
+  // Byte cap: the filters a rank holds of one kind, one per peer, never
+  // outgrow its own owned table of that kind. The owner sizes each filter
+  // to its table's bytes / peers (or to filter_fp_rate, if that is
+  // smaller); where the cap leaves a rate of kMaxFilterFpRate or more it
+  // sends an empty frame instead, so every rank still receives one frame
+  // per (peer, kind).
   std::size_t kinds = 0;
   for (const LookupKind kind : kLookupKinds) {
     if (heur_.allgather(kind)) continue;
     ++kinds;
-    const hash::OwnerFilter filter = hash::OwnerFilter::build_from(
-        tables(kind).owned, heur_.filter_fp_rate);
+    const hash::CountTable<>& owned = tables(kind).owned;
+    const double rate = std::max(
+        heur_.filter_fp_rate,
+        hash::OwnerFilter::fp_rate_for_bytes(
+            owned.size(), owned.memory_bytes() / peers.size()));
+    std::optional<hash::OwnerFilter> filter;
+    if (rate < kMaxFilterFpRate) {
+      filter.emplace(hash::OwnerFilter::build_from(owned, rate));
+    }
+    const hash::OwnerFilter* sent = filter ? &*filter : nullptr;
     for (int dst : peers) {
-      rtm::Payload payload = comm_->make_payload(filter_exchange_bytes(filter));
-      encode_filter_exchange_into(payload.data(), kind, filter);
+      rtm::Payload payload = comm_->make_payload(filter_exchange_bytes(sent));
+      encode_filter_exchange_into(payload.data(), kind, sent);
       comm_->send_payload(dst, kTagFilterExchange, std::move(payload));
     }
   }
 
   // Phase 2: collect one message per (peer, kind). A filter that cannot be
   // decoded (chaos truncation) or never arrives within the retry budget
-  // leaves its slot null — that owner keeps the unfiltered wire path.
+  // leaves its slot null — that owner keeps the unfiltered wire path. So
+  // does a filter larger than this rank's share of the cap, which an owner
+  // whose table is bigger than this rank's can send.
   const std::size_t expected = peers.size() * kinds;
   const auto accept = [&](const rtm::Message& m) {
     try {
       FilterExchange fx = decode_filter_exchange(m.payload);
-      filter_bytes_ += fx.filter.memory_bytes();
+      if (!fx.filter) return;
+      const std::size_t bytes = fx.filter->memory_bytes();
+      if (bytes > tables(fx.kind).owned.memory_bytes() / peers.size()) return;
+      filter_bytes_ += bytes;
       tables(fx.kind).peer_filters[static_cast<std::size_t>(m.source)] =
-          std::make_unique<hash::OwnerFilter>(std::move(fx.filter));
+          std::make_unique<hash::OwnerFilter>(std::move(*fx.filter));
     } catch (const std::exception&) {
       // Malformed: drop. Trusting garbled bits could fake false negatives.
     }
@@ -256,15 +277,20 @@ void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
   }
 }
 
+const hash::OwnerFilter* DistSpectrum::peer_filter(LookupKind kind,
+                                                   int owner) const {
+  const auto& filters = tables(kind).peer_filters;
+  if (owner < 0 || static_cast<std::size_t>(owner) >= filters.size()) {
+    return nullptr;
+  }
+  return filters[static_cast<std::size_t>(owner)].get();
+}
+
 DistSpectrum::FilterAnswer DistSpectrum::filter(LookupKind kind,
                                                 std::uint64_t id,
                                                 int owner) const {
-  const auto& filters = tables(kind).peer_filters;
-  if (owner < 0 || static_cast<std::size_t>(owner) >= filters.size()) {
-    return FilterAnswer::kNoFilter;
-  }
-  const auto& f = filters[static_cast<std::size_t>(owner)];
-  if (!f) return FilterAnswer::kNoFilter;
+  const hash::OwnerFilter* f = peer_filter(kind, owner);
+  if (f == nullptr) return FilterAnswer::kNoFilter;
   // build_from keyed the owner's IDs by owned_set_key: raw IDs, which all
   // share owner_of(id), would crowd into a fraction of the blocks.
   return f->possibly_contains(hash::owned_set_key(id))

@@ -93,7 +93,10 @@ class DistSpectrum {
   /// blocked-Bloom OwnerFilter over each still-owned table (kinds resolved
   /// by allgather replication are skipped — their owned shards were
   /// cleared) and sends it to every out-of-group peer; then collects the
-  /// peers' filters. Collective; call after prune()/replicate() on the rank
+  /// peers' filters. Byte-capped: the filters held of one kind never take
+  /// more bytes than this rank's owned table of that kind, and where the
+  /// cap allows no filter below kMaxFilterFpRate the owner sends an empty
+  /// frame. Collective; call after prune()/replicate() on the rank
   /// main thread, before the correction service starts (kTagFilterExchange
   /// is the only tagged traffic in flight). Best effort when `retry` is
   /// armed: filters not received within the retry budget stay null and
@@ -135,11 +138,15 @@ class DistSpectrum {
 
   /// What a peer's exchanged filter says about an ID owned by `owner`.
   /// kNoFilter = no usable filter for that owner (feature off, exchange
-  /// lost, or the owner's kind is allgather-replicated) — take the wire
-  /// path. kDefinitelyAbsent is exact: the owner's pruned table cannot
+  /// lost, the byte cap left none, or the owner's kind is
+  /// allgather-replicated) — take the wire path. kDefinitelyAbsent is exact: the owner's pruned table cannot
   /// contain the ID, so the reply would be -1 (count 0).
   enum class FilterAnswer { kNoFilter, kDefinitelyAbsent, kMaybePresent };
   FilterAnswer filter(LookupKind kind, std::uint64_t id, int owner) const;
+
+  /// The filter `owner` sent for `kind`; nullptr where filter() answers
+  /// kNoFilter.
+  const hash::OwnerFilter* peer_filter(LookupKind kind, int owner) const;
 
   /// Total bytes of peer filters held after exchange_filters().
   std::size_t filter_bytes() const noexcept { return filter_bytes_; }

@@ -2,9 +2,10 @@
 // Execution-mode flags: the paper's heuristics (Section III-B).
 //
 // Every paper flag corresponds to one heuristic evaluated in Fig. 5. The
-// defaults turn on load_balance and the batch_lookups extension (the chunk
-// wavefront); with batch_lookups off, the defaults are the paper's base
-// mode. The paper's preferred production setting is
+// defaults turn on load_balance and two extensions: batch_lookups (the
+// chunk wavefront) and filter_lookups (peer filters capped at the owned
+// tables' bytes). With both off, the defaults are the paper's base mode.
+// The paper's preferred production setting is
 // {universal, batch_reads, load_balance}.
 
 #include <stdexcept>
@@ -13,6 +14,11 @@
 #include "parallel/protocol.hpp"
 
 namespace reptile::parallel {
+
+/// Upper bound (exclusive) on an exchanged filter's false-positive rate,
+/// configured or forced by the byte cap (DESIGN.md §9): where the cap
+/// would leave a filter at this rate or worse, the owner sends none.
+inline constexpr double kMaxFilterFpRate = 0.5;
 
 struct Heuristics {
   /// "Universal": lookup requests carry their own kind tag in the payload,
@@ -60,12 +66,15 @@ struct Heuristics {
   /// probable hits. False positives cost one redundant round trip; false
   /// negatives are structurally impossible, so corrected output stays
   /// byte-identical to the unfiltered run. Composes with scalar, batched,
-  /// and retry/chaos paths unchanged.
-  bool filter_lookups = false;
+  /// and retry/chaos paths unchanged. On by default: the filters a rank
+  /// holds are capped at its own owned tables' bytes, so they shrink as
+  /// 1/np like the rest of the spectrum. Off selects the paper's protocol.
+  bool filter_lookups = true;
 
   /// Target false-positive rate of the exchanged filters: lower rate =
   /// bigger filters = fewer redundant remote round trips. The memory-vs-
-  /// traffic knob of the filter point on the fig5 curve.
+  /// traffic knob of the filter point on the fig5 curve. Where the byte cap
+  /// binds, a filter runs at the higher rate the cap allows.
   double filter_fp_rate = 0.01;
 
   /// Static load balancing (Section III-A): redistribute reads to their
@@ -111,7 +120,7 @@ struct Heuristics {
       throw std::invalid_argument(
           "heuristics: partial_replication_group must be >= 1");
     }
-    if (filter_fp_rate <= 0.0 || filter_fp_rate >= 0.5) {
+    if (filter_fp_rate <= 0.0 || filter_fp_rate >= kMaxFilterFpRate) {
       throw std::invalid_argument(
           "heuristics: filter_fp_rate must be in (0, 0.5)");
     }

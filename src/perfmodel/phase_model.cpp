@@ -43,6 +43,9 @@ double RunEstimate::min_comm_seconds() const {
 double RunEstimate::max_memory_bytes() const {
   return max_over(ranks, &RankEstimate::memory_bytes);
 }
+double RunEstimate::max_filter_bytes() const {
+  return max_over(ranks, &RankEstimate::filter_bytes);
+}
 
 double RunEstimate::parallel_efficiency(const RunEstimate& base,
                                         const RunEstimate& scaled) {
@@ -124,9 +127,10 @@ RunEstimate estimate_run(const MachineModel& machine,
     e.total_seconds = e.construct_seconds + e.correct_seconds;
 
     // --- memory -------------------------------------------------------------
-    const double steady =
-        w.spectrum_bytes + w.replica_bytes + w.reads_table_bytes;
+    const double steady = w.spectrum_bytes + w.replica_bytes +
+                          w.reads_table_bytes + w.filter_bytes;
     e.memory_bytes = std::max(steady, w.construction_peak_bytes);
+    e.filter_bytes = w.filter_bytes;
 
     e.remote_lookups = w.remote_lookups();
     e.substitutions = w.substitutions;

@@ -15,7 +15,8 @@
 //
 // The run's reported construction / correction time is the slowest rank's
 // (phases end with a barrier). Memory per rank is the larger of the
-// construction peak and the steady-state footprint.
+// construction peak and the steady-state footprint (owned tables,
+// replicas, reads tables and the byte-capped peer filters).
 
 #include <cstddef>
 #include <vector>
@@ -38,6 +39,7 @@ struct RankEstimate {
   double correct_seconds = 0;  ///< compute + comm
   double total_seconds = 0;    ///< construct + correct
   double memory_bytes = 0;
+  double filter_bytes = 0;  ///< peer filters held, part of memory_bytes
   double remote_lookups = 0;
   double substitutions = 0;
 };
@@ -58,6 +60,8 @@ struct RunEstimate {
   double min_comm_seconds() const;
   double max_memory_bytes() const;
   double max_memory_mb() const { return max_memory_bytes() / (1 << 20); }
+  double max_filter_bytes() const;
+  double max_filter_mb() const { return max_filter_bytes() / (1 << 20); }
 
   /// Parallel efficiency of this run against a baseline run of the same
   /// workload: (T_base * np_base) / (T_this * np_this).

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 
 #include "core/corrector.hpp"
 #include "core/spectrum.hpp"
 #include "hash/hashing.hpp"
+#include "hash/owner_filter.hpp"
 #include "seq/error_model.hpp"
 
 namespace reptile::perfmodel {
@@ -143,8 +145,7 @@ DatasetTraits measure_traits(const seq::SyntheticDataset& ds,
   const seq::TileCodec tc(params.k, params.tile_overlap);
   const int read_len = ds.spec.read_length;
   traits.kmers_per_read = std::max(0, read_len - params.k + 1);
-  traits.tiles_per_read =
-      static_cast<double>(tc.tile_positions(read_len).size());
+  traits.tiles_per_read = static_cast<double>(tc.tile_count(read_len));
 
   // --- per-rank reads-table membership sets (np_ref attribution) ----------
   const auto n = ds.reads.size();
@@ -228,6 +229,21 @@ std::uint64_t count_burst_reads(std::uint64_t begin, std::uint64_t end,
     return full * span + std::min(rem, span);
   };
   return cumulative(end) - cumulative(begin);
+}
+
+double modeled_filter_bytes(double kept_entries, int np, int group,
+                            double filter_fp_rate) {
+  const int peers = np - std::min(std::max(1, group), np);
+  if (peers <= 0) return 0;
+  // The cap gives each owner's filter its table bytes / peers, i.e.
+  // kFrozenTableBytesPerEntry / peers bytes per key.
+  const double capped_rate = hash::OwnerFilter::fp_rate_at(
+      kFrozenTableBytesPerEntry * 8.0 / peers);
+  if (capped_rate >= parallel::kMaxFilterFpRate) return 0;
+  const double owned_entries = kept_entries / np;
+  const double sized = owned_entries * peers *
+                       hash::OwnerFilter::bits_per_key(filter_fp_rate) / 8.0;
+  return std::min(sized, owned_entries * kFrozenTableBytesPerEntry);
 }
 
 std::vector<RankWorkload> synthesize_workload(
@@ -337,6 +353,18 @@ std::vector<RankWorkload> synthesize_workload(
     if (heur.allgather_tiles) {
       w.replica_bytes += static_cast<double>(traits.kept_tiles) *
                          genome_ratio * kFrozenTableBytesPerEntry;
+    }
+    if (heur.filter_lookups) {
+      // One filter per out-of-group owner and kind, for the kinds that
+      // still go remote.
+      for (const auto& [kind, kept] :
+           {std::pair{parallel::LookupKind::kKmer, traits.kept_kmers},
+            std::pair{parallel::LookupKind::kTile, traits.kept_tiles}}) {
+        if (heur.allgather(kind)) continue;
+        w.filter_bytes += modeled_filter_bytes(
+            static_cast<double>(kept) * genome_ratio, np, group,
+            heur.filter_fp_rate);
+      }
     }
     if (heur.read_kmers) {
       // The rank's reads tables hold its (mostly distinct) non-owned IDs.

@@ -106,12 +106,23 @@ struct RankWorkload {
   double spectrum_bytes = 0;   ///< owned tables after pruning
   double replica_bytes = 0;    ///< allgather heuristics
   double reads_table_bytes = 0;///< read_kmers (+ add_remote cache)
+  double filter_bytes = 0;     ///< peer filters held (filter_lookups)
   double construction_peak_bytes = 0;
 
   double remote_lookups() const noexcept {
     return remote_kmer_lookups + remote_tile_lookups;
   }
 };
+
+/// Bytes of the peer filters one rank holds of a kind with `kept_entries`
+/// post-prune entries (full scale), for np ranks in replication groups of
+/// `group` (DistSpectrum::exchange_filters' byte cap): each out-of-group
+/// owner's filter is sized at filter_fp_rate, but at most the owner's
+/// table bytes / peers, so the rank holds min(fp sizing x out-of-group
+/// entries, its owned-table bytes) — and nothing once the cap forces a
+/// rate of kMaxFilterFpRate or more.
+double modeled_filter_bytes(double kept_entries, int np, int group,
+                            double filter_fp_rate);
 
 /// Projects the measured traits onto the full dataset at (np, ranks_per_node)
 /// under the given heuristics. Returns one RankWorkload per rank.

@@ -35,27 +35,34 @@ std::vector<int> TileCodec::tile_positions(int read_len) const {
   return out;
 }
 
+std::size_t TileCodec::tile_count(int read_len) const {
+  if (read_len < tile_len_) return 0;
+  const auto strided =
+      static_cast<std::size_t>((read_len - tile_len_) / step_) + 1;
+  // A tail tile anchored at the read's end when the strided tiling stops
+  // short of it.
+  const bool tail =
+      static_cast<int>(strided - 1) * step_ + tile_len_ < read_len;
+  return strided + (tail ? 1 : 0);
+}
+
 int TileCodec::tile_position(int read_len, std::size_t index) const {
   if (read_len < tile_len_) return -1;
   const auto strided =
       static_cast<std::size_t>((read_len - tile_len_) / step_) + 1;
   if (index < strided) return static_cast<int>(index) * step_;
-  // A tail tile anchored at the read's end when the strided tiling stops
-  // short of it.
-  const int last = static_cast<int>(strided - 1) * step_;
-  if (index == strided && last + tile_len_ < read_len) {
-    return read_len - tile_len_;
-  }
+  if (index < tile_count(read_len)) return read_len - tile_len_;
   return -1;
 }
 
 std::size_t TileCodec::extract(std::string_view read,
                                std::vector<tile_id_t>& out) const {
-  const auto positions = tile_positions(static_cast<int>(read.size()));
-  for (int pos : positions) {
+  const int len = static_cast<int>(read.size());
+  std::size_t n = 0;
+  for (int pos; (pos = tile_position(len, n)) >= 0; ++n) {
     out.push_back(pack(read.substr(static_cast<std::size_t>(pos))));
   }
-  return positions.size();
+  return n;
 }
 
 }  // namespace reptile::seq

@@ -90,12 +90,15 @@ class TileCodec {
   /// when needed. Empty when read_len < tile_len.
   std::vector<int> tile_positions(int read_len) const;
 
+  /// tile_positions(read_len).size(), without building the vector.
+  std::size_t tile_count(int read_len) const;
+
   /// Entry `index` of tile_positions(read_len), or -1 past the last tile;
   /// computed without building the vector.
   int tile_position(int read_len, std::size_t index) const;
 
   /// Extracts all tile IDs of a read (at tile_positions()) into `out`;
-  /// returns the number appended.
+  /// returns the number appended. Allocates nothing beyond `out`.
   std::size_t extract(std::string_view read, std::vector<tile_id_t>& out) const;
 
  private:

@@ -212,11 +212,12 @@ TEST(DistPipeline, RemoteLookupsVanishWhenFullyReplicated) {
 TEST(DistPipeline, TileRequestsDominateRemoteTraffic) {
   // Paper: "the majority of the communication time is spent in
   // communication of tiles especially tiles which are not part of the tile
-  // spectrum". The subject is the paper's scalar protocol.
+  // spectrum". The subject is the paper's scalar, unfiltered protocol.
   DistConfig config;
   config.params = test_params();
   config.ranks = 4;
   config.heuristics.batch_lookups = false;
+  config.heuristics.filter_lookups = false;
   const auto result = run_distributed(shared_dataset().reads, config);
   std::uint64_t kmer_remote = 0, tile_remote = 0, tile_absent = 0;
   for (const auto& rank : result.ranks) {

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 
 #include "core/spectrum.hpp"
@@ -308,6 +310,107 @@ INSTANTIATE_TEST_SUITE_P(Ranks, ExchangedFilters, ::testing::Values(2, 4, 8),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "np" + std::to_string(info.param);
                          });
+
+TEST(ExchangedFilters, StayWithinTheOwnedTableBudget) {
+  // An owner sizes each filter at its owned table's bytes / peers (or at
+  // filter_fp_rate, if smaller), and a holder keeps a filter only within
+  // its own share, so the filters of one kind a rank holds never take more
+  // bytes than its owned table of that kind. A capped filter runs at the
+  // rate the cap allows; where that rate reaches kMaxFilterFpRate the owner
+  // sends an empty frame, no rank holds its filter, and the blocking
+  // exchange still completes. 40 reads at 32 ranks force that regime.
+  // 2731 reads at 32 ranks cap filters, and put ~4,180 k-mers and ~512
+  // tiles on each rank, so a frozen table of either kind has 2^k slots on
+  // some ranks and 2^(k+1) on others: a rank with the smaller table drops
+  // the filters of owners with the larger one.
+  core::CorrectorParams p;
+  p.k = 12;
+  p.tile_overlap = 4;
+  p.kmer_threshold = 1;
+  p.tile_threshold = 1;
+  constexpr int kProbes = 4000;
+  std::mutex mu;
+  int capped = 0, forced_off = 0, dropped = 0;
+  for (const int np : {2, 4, 8, 32}) {
+    for (const std::size_t nreads : {40u, 2731u}) {
+      seq::Rng rng(nreads);
+      std::vector<seq::Read> reads(nreads);
+      for (auto& r : reads) {
+        r.bases.resize(60);
+        for (char& b : r.bases) b = "ACGT"[rng.below(4)];
+      }
+      rtm::run_world({np, 1}, [&](rtm::Comm& comm) {
+        const Heuristics heur;  // filters on by default
+        DistSpectrum spectrum(p, heur, comm);
+        add_my_slice(spectrum, reads, comm);
+        spectrum.exchange_to_owners();
+        spectrum.prune();
+        spectrum.exchange_filters(RetryPolicy{});
+        seq::Rng probe_rng(static_cast<std::uint64_t>(comm.rank()) + 7);
+        for (const LookupKind kind : kLookupKinds) {
+          const auto& own = spectrum.owned_table(kind);
+          const auto peers = static_cast<std::size_t>(np - 1);
+          // Every owner's table bytes, and its rate, decided the way the
+          // owner decides it.
+          const std::size_t my_bytes = own.memory_bytes();
+          const double my_rate = std::max(
+              heur.filter_fp_rate,
+              hash::OwnerFilter::fp_rate_for_bytes(own.size(),
+                                                   my_bytes / peers));
+          const auto table_bytes =
+              comm.allgatherv(std::span<const std::size_t>(&my_bytes, 1));
+          const auto rates =
+              comm.allgatherv(std::span<const double>(&my_rate, 1));
+          std::size_t held = 0;
+          for (int owner = 0; owner < np; ++owner) {
+            if (owner == comm.rank()) continue;
+            const double rate = rates[static_cast<std::size_t>(owner)];
+            const std::size_t owner_bytes =
+                table_bytes[static_cast<std::size_t>(owner)];
+            const hash::OwnerFilter* f = spectrum.peer_filter(kind, owner);
+            if (rate >= kMaxFilterFpRate) {
+              EXPECT_EQ(f, nullptr) << "np=" << np << " owner=" << owner;
+              std::lock_guard<std::mutex> lock(mu);
+              ++forced_off;
+              continue;
+            }
+            if (f == nullptr) {
+              // Beyond this rank's share: only an owner with a larger
+              // table can send that.
+              EXPECT_LT(my_bytes, owner_bytes) << "np=" << np;
+              std::lock_guard<std::mutex> lock(mu);
+              ++dropped;
+              continue;
+            }
+            EXPECT_LE(f->memory_bytes(), owner_bytes / peers)
+                << "np=" << np << " reads=" << nreads << " owner=" << owner;
+            held += f->memory_bytes();
+            int maybe = 0;
+            for (int i = 0; i < kProbes; ++i) {
+              // Beyond every k-mer and tile ID at k = 12: never a member.
+              const std::uint64_t id = probe_rng.next() | (1ull << 63);
+              maybe += spectrum.filter(kind, id, owner) ==
+                       DistSpectrum::FilterAnswer::kMaybePresent;
+            }
+            EXPECT_LE(static_cast<double>(maybe) / kProbes, 2 * rate)
+                << "np=" << np << " reads=" << nreads << " owner=" << owner;
+            if (rate > heur.filter_fp_rate) {
+              std::lock_guard<std::mutex> lock(mu);
+              ++capped;
+            }
+          }
+          EXPECT_LE(held, own.memory_bytes())
+              << "np=" << np << " reads=" << nreads
+              << " rank=" << comm.rank();
+        }
+      });
+    }
+  }
+  // Every regime was exercised.
+  EXPECT_GT(capped, 0);
+  EXPECT_GT(forced_off, 0);
+  EXPECT_GT(dropped, 0);
+}
 
 }  // namespace
 }  // namespace reptile::parallel

@@ -5,7 +5,7 @@
 // 1-4 ranks against the sequential oracle (which the unfiltered runs
 // already match, so agreement here IS filtered==unfiltered byte-identity),
 // then pins the counters: definite absences answered locally, fewer remote
-// requests, zero cost when the flag is off.
+// requests, on by default, zero cost when the flag is off.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -161,6 +161,7 @@ TEST(FilterCounters, AbsencesAnsweredLocallyAndTrafficDrops) {
     config.params = test_params();
     config.ranks = 4;
     config.heuristics.batch_lookups = batched;
+    config.heuristics.filter_lookups = false;
     const auto plain = run_distributed(dataset(4242).reads, config);
     config.heuristics.filter_lookups = true;
     const auto filtered = run_distributed(dataset(4242).reads, config);
@@ -203,11 +204,28 @@ TEST(FilterCounters, AbsencesAnsweredLocallyAndTrafficDrops) {
   }
 }
 
+TEST(FilterCounters, OnByDefaultAndIdentical) {
+  // The default mode filters: definite absences are answered locally, the
+  // filters are accounted, and the output still equals the sequential run.
+  DistConfig config;
+  config.params = test_params();
+  config.ranks = 4;
+  EXPECT_TRUE(config.heuristics.filter_lookups);
+  const auto result = run_distributed(dataset(97).reads, config);
+  expect_identical_to_sequential(result, 97);
+  for (const auto& r : result.ranks) {
+    EXPECT_GT(r.remote.filter_neg_hits, 0u);
+    EXPECT_GT(r.footprint_after_correction.filter_bytes, 0u);
+  }
+}
+
 TEST(FilterCounters, OffByDefaultCostsNothing) {
+  // Filters are on by default now; this pins that switching them off
+  // (the paper's protocol) leaves no trace.
   DistConfig config;
   config.params = test_params();
   config.ranks = 2;
-  EXPECT_FALSE(config.heuristics.filter_lookups);
+  config.heuristics.filter_lookups = false;
   const auto result = run_distributed(dataset(97).reads, config);
   expect_identical_to_sequential(result, 97);
   for (const auto& r : result.ranks) {

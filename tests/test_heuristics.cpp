@@ -14,17 +14,19 @@ TEST(Heuristics, DefaultIsBalancedBaseWithWavefront) {
   EXPECT_FALSE(h.allgather_tiles);
   EXPECT_FALSE(h.add_remote);
   EXPECT_FALSE(h.batch_reads);
-  EXPECT_TRUE(h.batch_lookups);  // the chunk wavefront
+  EXPECT_TRUE(h.batch_lookups);   // the chunk wavefront
+  EXPECT_TRUE(h.filter_lookups);  // byte-capped peer filters
   EXPECT_TRUE(h.load_balance);
   EXPECT_EQ(h.partial_replication_group, 1);
   EXPECT_FALSE(h.bloom_construction);
   EXPECT_NO_THROW(h.validate());
-  EXPECT_EQ(h.label(), "batch_lookups+load_balance");
+  EXPECT_EQ(h.label(), "batch_lookups+filter+load_balance");
 }
 
 TEST(Heuristics, LabelListsActiveFlags) {
   Heuristics h;
   h.batch_lookups = false;
+  h.filter_lookups = false;
   h.load_balance = false;
   EXPECT_EQ(h.label(), "base");
   h.universal = true;

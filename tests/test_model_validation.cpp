@@ -60,8 +60,9 @@ TEST(ModelValidation, RemoteLookupTotalsMatchRealPipeline) {
     config.params = setup().params;
     config.ranks = np;
     config.ranks_per_node = 4;
-    // The model counts the paper's scalar round trips.
+    // The model counts the paper's scalar, unfiltered round trips.
     config.heuristics.batch_lookups = false;
+    config.heuristics.filter_lookups = false;
     const auto result = parallel::run_distributed(setup().ds.reads, config);
     const double real = static_cast<double>(measured_remote(result));
     const double modeled = synthesized_remote(np, config.heuristics);

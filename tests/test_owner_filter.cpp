@@ -260,5 +260,55 @@ TEST(OwnerFilter, SizingAndAccounting) {
   }
 }
 
+TEST(OwnerFilter, SizingByBytesFitsTheBudget) {
+  // fp_rate_for_bytes inverts the sizing rule at whole blocks: a filter
+  // built at that rate takes at most the budget, a tighter budget costs a
+  // higher rate, and a budget below one block allows no filter at all.
+  for (const std::size_t n : {1u, 37u, 1000u, 250000u}) {
+    double last = 0;
+    for (std::size_t budget = 64; budget <= (std::size_t{1} << 22);
+         budget = budget * 3 / 2 + 1) {
+      const double rate = OwnerFilter::fp_rate_for_bytes(n, budget);
+      ASSERT_GT(rate, 0.0);
+      ASSERT_LE(rate, 1.0);
+      if (last > 0) {
+        EXPECT_LE(rate, last) << "n=" << n << " budget=" << budget;
+      }
+      last = rate;
+      if (rate < 1e-6) break;  // far below any configured rate
+      EXPECT_LE(OwnerFilter(n, rate).memory_bytes(), budget)
+          << "n=" << n << " budget=" << budget << " rate=" << rate;
+    }
+    EXPECT_EQ(OwnerFilter::fp_rate_for_bytes(n, 63), 1.0);
+    EXPECT_EQ(OwnerFilter::fp_rate_for_bytes(n, 0), 1.0);
+  }
+  EXPECT_NEAR(OwnerFilter::fp_rate_at(OwnerFilter::bits_per_key(0.01)), 0.01,
+              1e-12);
+}
+
+TEST(OwnerFilter, CappedRateHoldsWithinTwice) {
+  // A filter the byte cap squeezes runs at the rate fp_rate_for_bytes
+  // names, which the property tests bound like a configured one.
+  const std::size_t n = 20000;
+  const auto keys = random_keys(n, 67);
+  std::unordered_set<std::uint64_t> inserted(keys.begin(), keys.end());
+  for (const std::size_t bits_per_key : {2u, 4u, 8u}) {
+    const double rate =
+        OwnerFilter::fp_rate_for_bytes(n, n * bits_per_key / 8);
+    OwnerFilter f(n, rate);
+    for (const auto k : keys) f.insert(k);
+    std::mt19937_64 rng(rtm_test::derive(71));
+    const std::size_t probes = 100000;
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < probes; ++i) {
+      std::uint64_t k = rng();
+      while (inserted.count(k) != 0) k = rng();
+      hits += f.possibly_contains(k) ? 1 : 0;
+    }
+    EXPECT_LE(static_cast<double>(hits) / probes, 2.0 * rate)
+        << bits_per_key << " bits a key, capped rate " << rate;
+  }
+}
+
 }  // namespace
 }  // namespace reptile::hash

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "hash/owner_filter.hpp"
 #include "seq/error_model.hpp"
 
 namespace reptile::perfmodel {
@@ -233,6 +236,51 @@ TEST(PhaseModel, CommSplitTracksLookupMix) {
     // Tile candidates dominate the remote mix (paper Fig. 2 narrative).
     EXPECT_GT(r.comm_tile_seconds, 5 * r.comm_kmer_seconds);
   }
+}
+
+TEST(PhaseModel, PeerFiltersStayWithinTheOwnedTable) {
+  // Exchanged filters at 1 % cost ~12.5 bits per out-of-group entry, capped
+  // at the owned table (kFrozenTableBytesPerEntry a key) and dropped once
+  // the cap forces a rate of 0.5: uncapped up to 25 ranks, capped from 26
+  // to 160, none from 161 on.
+  constexpr double kKept = 1e7;
+  const double sized_per_key = hash::OwnerFilter::bits_per_key(0.01) / 8.0;
+  for (int np = 2; np <= 400; ++np) {
+    SCOPED_TRACE("np=" + std::to_string(np));
+    const double owned = kKept / np * kFrozenTableBytesPerEntry;
+    const double bytes = modeled_filter_bytes(kKept, np, 1, 0.01);
+    if (np <= 25) {
+      EXPECT_LT(bytes, owned);
+      EXPECT_NEAR(bytes, kKept / np * (np - 1) * sized_per_key, 1e-6 * bytes);
+    } else if (np <= 160) {
+      EXPECT_DOUBLE_EQ(bytes, owned);
+    } else {
+      EXPECT_EQ(bytes, 0.0);
+    }
+  }
+  // Replication groups shrink the peer set: with 4 ranks in a group, 28
+  // ranks have 24 out-of-group peers and stay uncapped.
+  EXPECT_LT(modeled_filter_bytes(kKept, 28, 4, 0.01),
+            kKept / 28 * kFrozenTableBytesPerEntry);
+  EXPECT_EQ(modeled_filter_bytes(kKept, 4, 4, 0.01), 0.0);
+
+  // The modeled run holds them only with filter_lookups on, as part of the
+  // steady-state memory (which the construction peak may still exceed).
+  const auto& f = fx();
+  parallel::Heuristics heur;
+  heur.filter_lookups = false;
+  const auto plain = model_run(f.machine, f.traits, f.full, 16, 8, heur);
+  heur.filter_lookups = true;
+  const auto filtered = model_run(f.machine, f.traits, f.full, 16, 8, heur);
+  EXPECT_EQ(plain.max_filter_bytes(), 0.0);
+  EXPECT_GT(filtered.max_filter_bytes(), 0.0);
+  for (const auto& r : filtered.ranks) {
+    EXPECT_GE(r.memory_bytes, r.filter_bytes);
+  }
+  EXPECT_GE(filtered.max_memory_bytes(), plain.max_memory_bytes());
+  EXPECT_EQ(model_run(f.machine, f.traits, f.full, 1024, 32, heur)
+                .max_filter_bytes(),
+            0.0);
 }
 
 TEST(PhaseModel, AnchorMagnitudesInPaperRange) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace reptile::seq {
 namespace {
 
@@ -76,6 +80,30 @@ TEST(TileCodec, ExtractMatchesPositions) {
   for (std::size_t i = 0; i < pos.size(); ++i) {
     EXPECT_EQ(codec.unpack(out[i]),
               read.substr(static_cast<std::size_t>(pos[i]), 7));
+  }
+}
+
+TEST(TileCodec, ExtractAndCountMatchPositionsAtEveryLength) {
+  // Short reads (no tile), an exact strided fit (no tail) and every tail
+  // offset: extract() and tile_count() walk tile_position() without
+  // building the vector, and must agree with tile_positions().
+  const std::string bases = "ACGGTTAACCGGATCGGATTACGTTAGCATGCAAGTC";
+  for (const auto& [k, overlap] : {std::pair{4, 1}, std::pair{6, 2}}) {
+    const TileCodec codec(k, overlap);
+    for (int len = 0; len <= static_cast<int>(bases.size()); ++len) {
+      const std::string read = bases.substr(0, static_cast<std::size_t>(len));
+      const auto pos = codec.tile_positions(len);
+      EXPECT_EQ(codec.tile_count(len), pos.size()) << "len " << len;
+      std::vector<tile_id_t> out{42};  // extract appends
+      ASSERT_EQ(codec.extract(read, out), pos.size()) << "len " << len;
+      ASSERT_EQ(out.size(), pos.size() + 1);
+      for (std::size_t i = 0; i < pos.size(); ++i) {
+        EXPECT_EQ(codec.unpack(out[i + 1]),
+                  read.substr(static_cast<std::size_t>(pos[i]),
+                              static_cast<std::size_t>(codec.tile_len())))
+            << "len " << len << " tile " << i;
+      }
+    }
   }
 }
 

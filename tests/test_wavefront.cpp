@@ -137,7 +137,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(WavefrontCapacity, SmallCachesFallBackToScalarAndStayIdentical) {
   // A cache that cannot hold the chunk's IDs stops the wavefront early;
-  // whatever it could not fetch goes scalar. Output never changes.
+  // whatever it could not fetch goes scalar. Output never changes. Filters
+  // off: they would answer the absent IDs locally, and the subject is the
+  // scalar fallback.
   const core::SequentialResult ref =
       core::run_sequential(reads(), test_params());
   for (const std::size_t capacity : {std::size_t{8}, std::size_t{400}}) {
@@ -146,6 +148,7 @@ TEST(WavefrontCapacity, SmallCachesFallBackToScalarAndStayIdentical) {
     config.params = test_params();
     config.params.prefetch_capacity = capacity;
     config.ranks = 4;
+    config.heuristics.filter_lookups = false;
     const DistResult result = run_distributed(reads(), config);
     expect_same_bases(result.corrected, ref.corrected);
     std::uint64_t remote = 0, batch_ids = 0;
@@ -164,12 +167,14 @@ TEST(WavefrontCapacity, EarlyEndsCountLikeTheScalarRun) {
   // on the real view. The decisions the probe took before must count once
   // and the continuation's lookups once: every rank's LookupStats equal the
   // scalar run's, and every lookup the cache could not answer goes scalar.
+  // Filters off in both runs: the subject is the unfiltered fallback.
   for (const std::size_t capacity : {std::size_t{8}, std::size_t{400}}) {
     SCOPED_TRACE("capacity " + std::to_string(capacity));
     DistConfig config;
     config.params = test_params();
     config.params.prefetch_capacity = capacity;
     config.ranks = 4;
+    config.heuristics.filter_lookups = false;
     config.heuristics.batch_lookups = false;
     const DistResult scalar = run_distributed(reads(), config);
     config.heuristics.batch_lookups = true;
