@@ -11,8 +11,7 @@
 //
 // Both structures are implemented here as baselines so the paper's design
 // contrast (hash tables, "prevent[ing] any need for sorting the arrays or
-// for repeated binary searches") can be measured — see bench/microbench and
-// core::FrozenSpectrum.
+// for repeated binary searches") can be measured — see bench/microbench.
 
 #include <algorithm>
 #include <cstdint>

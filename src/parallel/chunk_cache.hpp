@@ -1,7 +1,6 @@
 #pragma once
 // The chunk cache of a correction worker: verbatim remote counts for the
-// chunk being corrected, filled by the chunk wavefront's batch replies (and,
-// with add_remote under several workers, by scalar replies).
+// chunk being corrected, filled by the chunk wavefront's batch replies.
 //
 // Nearly every reply of the wavefront says "absent": most candidate tiles
 // of an untrusted tile are not in the spectrum. Absences therefore go into

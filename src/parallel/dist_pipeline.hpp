@@ -35,10 +35,9 @@ struct DistConfig {
   /// the distributed modes, and many workers per rank in the
   /// fully-replicated mode (64 threads/rank on BlueGene/Q). Each worker
   /// uses its own reply tags, so remote lookups from concurrent workers
-  /// never mix. Combining >1 workers with the add_remote heuristic
-  /// additionally requires batch_lookups: replies are then cached in each
-  /// worker's private chunk-local cache instead of the shared reads tables
-  /// (which are not thread-safe to write during correction).
+  /// never mix. The add_remote heuristic needs exactly one worker: it
+  /// writes replies into the shared reads tables, which are not
+  /// thread-safe to write during correction.
   int worker_threads = 1;
   /// Runtime options: chaos delivery (see rtm/chaos.hpp) and rtm-check
   /// (see rtm/check/check.hpp). Checking defaults to on; when it is on,

@@ -201,54 +201,59 @@ void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
   }
   if (peers.empty()) return;
 
+  // Byte cap, decided the same way on every rank: the filters a rank holds
+  // of one kind, one per peer, never outgrow its own owned table of that
+  // kind. One reduction per kind gives the smallest share any holder allows
+  // (owned-table bytes / its out-of-group peers) and the largest owned
+  // entry count. Every owner builds at the rate that fits the largest table
+  // into the smallest share (fp_rate_for_bytes is monotone in both), or at
+  // filter_fp_rate if that is higher, so every filter fits every holder.
+  // Where the rate reaches kMaxFilterFpRate, no rank sends a filter of that
+  // kind and none expects one.
+  //
   // Phase 1: every rank posts all its (buffered, non-blocking) sends before
   // any rank starts receiving, so the blocking collection below cannot
   // deadlock even without retry timeouts. Kinds resolved by allgather
   // replication never go remote, and their owned shards were cleared by
   // replicate() anyway — no filter to build.
-  //
-  // Byte cap: the filters a rank holds of one kind, one per peer, never
-  // outgrow its own owned table of that kind. The owner sizes each filter
-  // to its table's bytes / peers (or to filter_fp_rate, if that is
-  // smaller); where the cap leaves a rate of kMaxFilterFpRate or more it
-  // sends an empty frame instead, so every rank still receives one frame
-  // per (peer, kind).
+  struct Cap {
+    std::size_t share;
+    std::size_t entries;
+  };
   std::size_t kinds = 0;
   for (const LookupKind kind : kLookupKinds) {
     if (heur_.allgather(kind)) continue;
-    ++kinds;
     const hash::CountTable<>& owned = tables(kind).owned;
+    const Cap cap = comm_->allreduce(
+        Cap{owned.memory_bytes() / peers.size(), owned.size()},
+        [](const Cap& a, const Cap& b) {
+          return Cap{std::min(a.share, b.share),
+                     std::max(a.entries, b.entries)};
+        });
     const double rate = std::max(
         heur_.filter_fp_rate,
-        hash::OwnerFilter::fp_rate_for_bytes(
-            owned.size(), owned.memory_bytes() / peers.size()));
-    std::optional<hash::OwnerFilter> filter;
-    if (rate < kMaxFilterFpRate) {
-      filter.emplace(hash::OwnerFilter::build_from(owned, rate));
-    }
-    const hash::OwnerFilter* sent = filter ? &*filter : nullptr;
+        hash::OwnerFilter::fp_rate_for_bytes(cap.entries, cap.share));
+    if (rate >= kMaxFilterFpRate) continue;
+    ++kinds;
+    const auto filter = hash::OwnerFilter::build_from(owned, rate);
     for (int dst : peers) {
-      rtm::Payload payload = comm_->make_payload(filter_exchange_bytes(sent));
-      encode_filter_exchange_into(payload.data(), kind, sent);
+      rtm::Payload payload = comm_->make_payload(filter_exchange_bytes(filter));
+      encode_filter_exchange_into(payload.data(), kind, filter);
       comm_->send_payload(dst, kTagFilterExchange, std::move(payload));
     }
   }
 
-  // Phase 2: collect one message per (peer, kind). A filter that cannot be
-  // decoded (chaos truncation) or never arrives within the retry budget
-  // leaves its slot null — that owner keeps the unfiltered wire path. So
-  // does a filter larger than this rank's share of the cap, which an owner
-  // whose table is bigger than this rank's can send.
+  // Phase 2: collect one message per (peer, kind with filters). A filter
+  // that cannot be decoded (chaos truncation) or never arrives within the
+  // retry budget leaves its slot null — that owner keeps the unfiltered
+  // wire path.
   const std::size_t expected = peers.size() * kinds;
   const auto accept = [&](const rtm::Message& m) {
     try {
       FilterExchange fx = decode_filter_exchange(m.payload);
-      if (!fx.filter) return;
-      const std::size_t bytes = fx.filter->memory_bytes();
-      if (bytes > tables(fx.kind).owned.memory_bytes() / peers.size()) return;
-      filter_bytes_ += bytes;
+      filter_bytes_ += fx.filter.memory_bytes();
       tables(fx.kind).peer_filters[static_cast<std::size_t>(m.source)] =
-          std::make_unique<hash::OwnerFilter>(std::move(*fx.filter));
+          std::make_unique<hash::OwnerFilter>(std::move(fx.filter));
     } catch (const std::exception&) {
       // Malformed: drop. Trusting garbled bits could fake false negatives.
     }

@@ -94,9 +94,10 @@ class DistSpectrum {
   /// by allgather replication are skipped — their owned shards were
   /// cleared) and sends it to every out-of-group peer; then collects the
   /// peers' filters. Byte-capped: the filters held of one kind never take
-  /// more bytes than this rank's owned table of that kind, and where the
-  /// cap allows no filter below kMaxFilterFpRate the owner sends an empty
-  /// frame. Collective; call after prune()/replicate() on the rank
+  /// more bytes than this rank's owned table of that kind. One allreduce
+  /// per kind sizes every owner's filter alike, so where the cap allows no
+  /// filter below kMaxFilterFpRate no rank sends or expects one of that
+  /// kind. Collective; call after prune()/replicate() on the rank
   /// main thread, before the correction service starts (kTagFilterExchange
   /// is the only tagged traffic in flight). Best effort when `retry` is
   /// armed: filters not received within the retry budget stay null and

@@ -40,7 +40,8 @@ struct Heuristics {
   bool allgather_tiles = false;
 
   /// "Add remote k-mer/tile lookups": cache every remote reply (including
-  /// definitive absences) into the reads tables. Requires read_kmers.
+  /// definitive absences) into the reads tables. Requires read_kmers, and
+  /// one correction worker per rank (the reads tables have one writer).
   bool add_remote = false;
 
   /// "Batch Reads Table": run the Step III alltoallv after every chunk of
@@ -109,6 +110,8 @@ struct Heuristics {
   bool fully_replicated() const noexcept {
     return allgather_kmers && allgather_tiles;
   }
+
+  friend bool operator==(const Heuristics&, const Heuristics&) = default;
 
   void validate() const {
     if (add_remote && !read_kmers) {

@@ -95,8 +95,8 @@ struct JobOverrides {
   /// Validates the overrides against the server's build configuration;
   /// throws std::invalid_argument with the same messages a one-shot run of
   /// the effective config would produce, plus the serve-specific
-  /// constraints (add_remote needs the build-time reads tables; concurrent
-  /// workers with add_remote need batch_lookups).
+  /// constraints (add_remote needs the build-time reads tables and one
+  /// worker).
   void validate(const core::CorrectorParams& build_params,
                 const Heuristics& build_heur, int worker_threads) const {
     apply_to(build_params).validate();
@@ -107,10 +107,10 @@ struct JobOverrides {
           "job: add_remote needs the reads tables, which exist only when "
           "the server was built with heuristics.read_kmers");
     }
-    if (worker_threads > 1 && h.add_remote && !h.batch_lookups) {
+    if (worker_threads > 1 && h.add_remote) {
       throw std::invalid_argument(
-          "job: add_remote with worker_threads > 1 requires batch_lookups "
-          "(shared reads tables are not thread-safe to write)");
+          "job: add_remote needs worker_threads == 1 (shared reads tables "
+          "are not thread-safe to write)");
     }
     if (deadline_seconds && *deadline_seconds < 0.0) {
       throw std::invalid_argument("job: deadline_seconds must be >= 0");

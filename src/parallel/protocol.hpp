@@ -112,15 +112,14 @@ struct BatchReplyHeader {
 /// Step III each rank broadcasts a serialized hash::OwnerFilter over its
 /// owned table of `kind` to every out-of-group peer, exactly once, before
 /// the correction phase starts. The filter bytes follow the header (see
-/// wire.hpp); an owner whose byte cap allows no useful filter sends the
-/// header alone, flagged `empty`, so every peer still receives one frame
-/// per (owner, kind). Fire-and-forget best effort: a peer that never
-/// receives (or cannot decode) a filter simply keeps the unfiltered wire
-/// path for that owner — losing a filter can cost traffic, never
-/// correctness.
+/// wire.hpp). Every rank decides the same way whether a kind has filters at
+/// all (DESIGN.md §9), so a kind either sends one frame per (owner, peer)
+/// or none. Fire-and-forget best effort: a peer that never receives (or
+/// cannot decode) a filter simply keeps the unfiltered wire path for that
+/// owner — losing a filter can cost traffic, never correctness.
 struct FilterExchangeHeader {
-  std::uint32_t kind = 0;   ///< LookupKind as uint32
-  std::uint32_t empty = 0;  ///< 1: no filter follows (the owner sends none)
+  std::uint32_t kind = 0;      ///< LookupKind as uint32
+  std::uint32_t reserved = 0;  ///< explicit padding for a stable layout
 };
 
 /// Serve-mode control messages (DESIGN.md §13). Rank 0 owns the admission

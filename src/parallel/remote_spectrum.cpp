@@ -125,9 +125,7 @@ void RemoteSpectrumView::add_tier(Link link, std::uint64_t n,
 }
 
 RemoteSpectrumView::RemoteSpectrumView(rtm::Comm& comm, DistSpectrum& spectrum,
-                                       int worker_slot,
-                                       bool cache_remote_locally,
-                                       RetryPolicy retry,
+                                       int worker_slot, RetryPolicy retry,
                                        const Heuristics* heur_override,
                                        const core::CorrectorParams* params_override)
     : comm_(&comm),
@@ -136,15 +134,8 @@ RemoteSpectrumView::RemoteSpectrumView(rtm::Comm& comm, DistSpectrum& spectrum,
       corrector_(params_override == nullptr ? spectrum.params()
                                             : *params_override),
       worker_slot_(worker_slot),
-      cache_remote_locally_(cache_remote_locally),
       retry_(retry) {
   retry_.validate();
-}
-
-void RemoteSpectrumView::cache_local(std::uint64_t id, LookupKind kind,
-                                     std::uint32_t count) {
-  if (cache_.size() >= corrector_.params().prefetch_capacity) return;
-  cache_.add(id, kind, count);
 }
 
 obs::Histogram* RemoteSpectrumView::latency_histogram(const char* name,
@@ -571,14 +562,8 @@ std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
   if (heur_.add_remote) {
     // Cache the reply — absences included — so a future lookup of the same
     // ID stays local ("this mode will be useful if the k-mers or tiles
-    // needed from remote ranks will be needed in the future"). With
-    // concurrent workers the shared reads tables are off limits, so the
-    // reply lands in this worker's chunk-local cache instead.
-    if (cache_remote_locally_) {
-      cache_local(id, kind, count);
-    } else {
-      spectrum_->cache_remote(kind, id, count);
-    }
+    // needed from remote ranks will be needed in the future").
+    spectrum_->cache_remote(kind, id, count);
   }
   return count;
 }

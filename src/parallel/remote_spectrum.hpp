@@ -34,8 +34,8 @@
 //                               verbatim remote replies, so hits are exact)
 //   7. remote request/reply    (blocking; reply -1 maps to count 0);
 //      with add_remote the reply is cached into the reads table
-//      (cache_remote(kind, id, count); shared, single worker) or this
-//      worker's chunk cache (multi-worker).
+//      (cache_remote(kind, id, count); add_remote runs with one worker,
+//      so the shared table has a single writer).
 //
 // The scalar round trip and each wavefront batch wait for their reply in
 // one loop (await_reply): per-attempt deadline, stale/malformed reply
@@ -88,22 +88,18 @@ class RemoteSpectrumView final : public core::SpectrumView {
   /// `worker_slot` distinguishes concurrent correction worker threads of
   /// one rank: each slot's remote requests carry their own reply tag so
   /// replies route back to the right thread. Slot 0 is the single-threaded
-  /// default. With `cache_remote_locally` the add_remote heuristic caches
-  /// scalar replies into this worker's chunk cache instead of the shared
-  /// reads tables — the thread-safe variant used when several workers
-  /// share one rank. It is only ever set together with batch_lookups
-  /// (validate_dist_config and JobOverrides::validate reject concurrent
-  /// add_remote workers without it), so the chunk cache is consulted
-  /// exactly when batch_lookups is on. `retry` arms the timeout/retry protocol (see
-  /// protocol.hpp); the default (disabled) blocks forever, exactly the
-  /// paper's behaviour. `heur_override` substitutes the correction-phase
-  /// heuristics (universal / batch_lookups / filter_lookups / add_remote)
-  /// for the spectrum's build heuristics, and `params_override` the
-  /// correction parameters the wavefront corrects with — the serve-mode
-  /// per-job override seam; nullptr keeps the build values.
+  /// default. With add_remote the view writes scalar replies into the
+  /// spectrum's shared reads tables, so validate_dist_config and
+  /// JobOverrides::validate allow add_remote only with one worker.
+  /// `retry` arms the timeout/retry protocol (see protocol.hpp); the
+  /// default (disabled) blocks forever, exactly the paper's behaviour.
+  /// `heur_override` substitutes the correction-phase heuristics
+  /// (universal / batch_lookups / filter_lookups / add_remote) for the
+  /// spectrum's build heuristics, and `params_override` the correction
+  /// parameters the wavefront corrects with — the serve-mode per-job
+  /// override seam; nullptr keeps the build values.
   RemoteSpectrumView(rtm::Comm& comm, DistSpectrum& spectrum,
-                     int worker_slot = 0, bool cache_remote_locally = false,
-                     RetryPolicy retry = {},
+                     int worker_slot = 0, RetryPolicy retry = {},
                      const Heuristics* heur_override = nullptr,
                      const core::CorrectorParams* params_override = nullptr);
 
@@ -218,9 +214,6 @@ class RemoteSpectrumView final : public core::SpectrumView {
   /// prefetch_capacity.
   bool exchange_round();
 
-  /// Inserts into the chunk cache, respecting prefetch_capacity.
-  void cache_local(std::uint64_t id, LookupKind kind, std::uint32_t count);
-
   /// Re-charges the wavefront's buffers to the ledger.
   void charge_wavefront();
 
@@ -237,7 +230,6 @@ class RemoteSpectrumView final : public core::SpectrumView {
   /// The corrector the wavefront simulates: the job's, exactly.
   core::TileCorrector corrector_;
   int worker_slot_;
-  bool cache_remote_locally_;
   RetryPolicy retry_;
   /// Per-view request sequence numbers; 0 is reserved for unsequenced
   /// traffic, so allocation starts at 1. Worker-private (no locking).

@@ -20,15 +20,13 @@
 //      BatchReplyHeader | count x i32 count
 //
 // 3. Filter-exchange messages (filter_lookups extension): one message per
-//    (owner, kind) carrying the owner's serialized membership filter, or
-//    the header alone, flagged empty, when the owner sends none:
+//    (owner, kind) carrying the owner's serialized membership filter:
 //
 //      FilterExchangeHeader | OwnerFilter wire encoding (header + blocks)
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -210,36 +208,33 @@ inline BatchReplyView view_batch_reply(std::span<const std::byte> payload) {
       reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size());
 }
 
-/// Decoded form of a filter-exchange message; `filter` is empty when the
-/// owner sent none.
+/// Decoded form of a filter-exchange message. Not default-constructible:
+/// an OwnerFilter only exists sized (constructor) or decoded (deserialize),
+/// never empty-but-queryable.
 struct FilterExchange {
   LookupKind kind;
-  std::optional<hash::OwnerFilter> filter;
+  hash::OwnerFilter filter;
 };
 
-/// Wire size of a filter-exchange message carrying `filter`, or of the
-/// empty frame for nullptr.
-inline std::size_t filter_exchange_bytes(const hash::OwnerFilter* filter) {
-  return sizeof(FilterExchangeHeader) +
-         (filter != nullptr ? filter->wire_bytes() : 0);
+/// Wire size of a filter-exchange message carrying `filter`.
+inline std::size_t filter_exchange_bytes(const hash::OwnerFilter& filter) {
+  return sizeof(FilterExchangeHeader) + filter.wire_bytes();
 }
 
 /// Writes one filter-exchange message into a caller-sized buffer of exactly
-/// filter_exchange_bytes(filter) — the zero-copy path into an arena
-/// payload. A null `filter` writes the empty frame.
+/// filter_exchange_bytes(filter) — the zero-copy path into an arena payload.
 inline void encode_filter_exchange_into(std::byte* out, LookupKind kind,
-                                        const hash::OwnerFilter* filter) {
+                                        const hash::OwnerFilter& filter) {
   FilterExchangeHeader h;
   h.kind = static_cast<std::uint32_t>(kind);
-  h.empty = filter == nullptr ? 1 : 0;
   std::memcpy(out, &h, sizeof(h));
-  if (filter != nullptr) filter->serialize_into(out + sizeof(h));
+  filter.serialize_into(out + sizeof(h));
 }
 
 /// Decodes one filter-exchange message. Throws on a truncated or over-long
-/// buffer, an unknown kind and an empty flag other than 0 or 1 — receivers
-/// drop malformed filters and keep the unfiltered wire path for that owner
-/// (never trust garbage bits: they could manufacture false negatives).
+/// buffer and on an unknown kind — receivers drop malformed filters and
+/// keep the unfiltered wire path for that owner (never trust garbage bits:
+/// they could manufacture false negatives).
 inline FilterExchange decode_filter_exchange(std::span<const std::byte> payload) {
   FilterExchangeHeader h;
   if (payload.size() < sizeof(h)) {
@@ -249,18 +244,9 @@ inline FilterExchange decode_filter_exchange(std::span<const std::byte> payload)
   if (h.kind > static_cast<std::uint32_t>(LookupKind::kTile)) {
     throw std::runtime_error("decode_filter_exchange: unknown lookup kind");
   }
-  if (h.empty > 1) {
-    throw std::runtime_error("decode_filter_exchange: bad empty flag");
-  }
-  const auto kind = static_cast<LookupKind>(h.kind);
-  if (h.empty == 1) {
-    if (payload.size() != sizeof(h)) {
-      throw std::runtime_error("decode_filter_exchange: empty frame has a body");
-    }
-    return FilterExchange{kind, std::nullopt};
-  }
   return FilterExchange{
-      kind, hash::OwnerFilter::deserialize(payload.subspan(sizeof(h)))};
+      static_cast<LookupKind>(h.kind),
+      hash::OwnerFilter::deserialize(payload.subspan(sizeof(h)))};
 }
 
 }  // namespace reptile::parallel

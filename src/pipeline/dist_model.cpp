@@ -31,18 +31,15 @@ void DistSpectrumModel::prepare_correction(RankContext& ctx) {
 }
 
 /// One worker's lookup surface: a RemoteSpectrumView with the worker's own
-/// reply tags (slot) and, with several workers sharing add_remote, the
-/// thread-safe chunk-local caching variant. correct_chunk runs the view's
-/// one-pass chunk wavefront; prefetch_chunk its copy-only form, for callers
-/// that compose the default correct_chunk.
+/// reply tags (slot). correct_chunk runs the view's one-pass chunk
+/// wavefront; prefetch_chunk its copy-only form, for callers that compose
+/// the default correct_chunk.
 class DistSpectrumModel::Handle final : public WorkerHandle {
  public:
   Handle(rtm::Comm& comm, parallel::DistSpectrum& spectrum, int slot,
-         bool cache_remote_locally, parallel::RetryPolicy retry,
-         const parallel::Heuristics& job_heur,
+         parallel::RetryPolicy retry, const parallel::Heuristics& job_heur,
          const core::CorrectorParams& job_params)
-      : view_(comm, spectrum, slot, cache_remote_locally, retry, &job_heur,
-              &job_params) {}
+      : view_(comm, spectrum, slot, retry, &job_heur, &job_params) {}
 
   core::SpectrumView& view() override { return view_; }
 
@@ -69,15 +66,10 @@ class DistSpectrumModel::Handle final : public WorkerHandle {
 
 std::unique_ptr<WorkerHandle> DistSpectrumModel::make_worker(
     const RankContext& ctx, int slot) {
-  // With concurrent workers, add_remote must not write the shared reads
-  // tables; each view then caches replies into its own chunk-local cache.
   // The view consults the JOB-effective heuristics and parameters (per-job
   // correction overrides), not the build values baked into the spectrum:
   // its wavefront must correct exactly as CorrectStage's corrector will.
-  const bool cache_remote_locally =
-      ctx.rank.worker_threads > 1 && ctx.job.heuristics.add_remote;
-  return std::make_unique<Handle>(*comm_, spectrum_, slot,
-                                  cache_remote_locally, ctx.job.retry,
+  return std::make_unique<Handle>(*comm_, spectrum_, slot, ctx.job.retry,
                                   ctx.job.heuristics, ctx.job.params);
 }
 

@@ -55,13 +55,10 @@ void validate_dist_config(const DistConfig& config) {
   if (config.worker_threads < 1) {
     throw std::invalid_argument("worker_threads must be >= 1");
   }
-  if (config.worker_threads > 1 && config.heuristics.add_remote &&
-      !config.heuristics.batch_lookups) {
+  if (config.worker_threads > 1 && config.heuristics.add_remote) {
     throw std::invalid_argument(
         "add_remote caches into the shared reads tables, which is not "
-        "thread-safe with worker_threads > 1: enable "
-        "heuristics.batch_lookups (replies then land in each worker's "
-        "chunk cache) or use worker_threads == 1");
+        "thread-safe with worker_threads > 1: use worker_threads == 1");
   }
   config.run_options.chaos.validate();
   config.retry.validate();

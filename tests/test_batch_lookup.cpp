@@ -202,6 +202,18 @@ TEST_P(BatchedIdentity, MatchesSequential) {
   config.heuristics.batch_lookups = true;
   const auto result = run_distributed(dataset().reads, config);
   expect_identical_to_sequential(result);
+  if (config.heuristics.add_remote) {
+    // Fault-free, the wavefront leaves no scalar reply for add_remote to
+    // cache: correction writes nothing into the reads tables.
+    for (const auto& r : result.ranks) {
+      EXPECT_EQ(r.footprint_after_correction.reads_kmer_entries,
+                r.footprint_after_construction.reads_kmer_entries)
+          << "rank " << r.rank;
+      EXPECT_EQ(r.footprint_after_correction.reads_tile_entries,
+                r.footprint_after_construction.reads_tile_entries)
+          << "rank " << r.rank;
+    }
+  }
 }
 
 Heuristics with_flags(bool universal, bool read_kmers, bool add_remote,
@@ -268,19 +280,23 @@ TEST(BatchedLookups, MultiWorkerRepliesRouteToRightSlot) {
   EXPECT_GT(batch_requests, 0u);
 }
 
-TEST(BatchedLookups, AddRemoteWithWorkersNeedsBatchLookups) {
+TEST(BatchedLookups, AddRemoteNeedsOneWorker) {
   DistConfig config;
   config.params = test_params();
   config.ranks = 2;
   config.worker_threads = 2;
   config.heuristics.read_kmers = true;
   config.heuristics.add_remote = true;
-  // Without batch_lookups the shared reads-table cache is not thread-safe.
-  config.heuristics.batch_lookups = false;
-  EXPECT_THROW(run_distributed(dataset().reads, config),
-               std::invalid_argument);
-  // With it, replies go to worker-private caches and the combination runs.
-  config.heuristics.batch_lookups = true;
+  // add_remote writes the shared reads tables, which are not thread-safe
+  // to write, with or without the wavefront.
+  for (const bool batch : {false, true}) {
+    config.heuristics.batch_lookups = batch;
+    EXPECT_THROW(run_distributed(dataset().reads, config),
+                 std::invalid_argument)
+        << "batch_lookups " << batch;
+  }
+  // With one worker the combination runs.
+  config.worker_threads = 1;
   const auto result = run_distributed(dataset().reads, config);
   expect_identical_to_sequential(result);
 }
@@ -544,12 +560,12 @@ TEST_P(OnePassChunk, EqualsPrefetchThenCorrect) {
     const auto compare = [&](const core::CorrectorParams& params) {
       seq::ReadBatch one_pass = batch;
       std::vector<core::ReadCorrection> got;
-      RemoteSpectrumView a(comm, spectrum, 0, false, {}, nullptr, &params);
+      RemoteSpectrumView a(comm, spectrum, 0, {}, nullptr, &params);
       a.correct_chunk(one_pass, got);
 
       seq::ReadBatch two_pass = batch;
       std::vector<core::ReadCorrection> want;
-      RemoteSpectrumView b(comm, spectrum, 0, false, {}, nullptr, &params);
+      RemoteSpectrumView b(comm, spectrum, 0, {}, nullptr, &params);
       b.prefetch_chunk(two_pass);
       const core::TileCorrector corrector(params);
       for (seq::Read& r : two_pass) want.push_back(corrector.correct(r, b));

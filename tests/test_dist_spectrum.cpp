@@ -312,17 +312,18 @@ INSTANTIATE_TEST_SUITE_P(Ranks, ExchangedFilters, ::testing::Values(2, 4, 8),
                          });
 
 TEST(ExchangedFilters, StayWithinTheOwnedTableBudget) {
-  // An owner sizes each filter at its owned table's bytes / peers (or at
-  // filter_fp_rate, if smaller), and a holder keeps a filter only within
-  // its own share, so the filters of one kind a rank holds never take more
-  // bytes than its owned table of that kind. A capped filter runs at the
-  // rate the cap allows; where that rate reaches kMaxFilterFpRate the owner
-  // sends an empty frame, no rank holds its filter, and the blocking
-  // exchange still completes. 40 reads at 32 ranks force that regime.
-  // 2731 reads at 32 ranks cap filters, and put ~4,180 k-mers and ~512
-  // tiles on each rank, so a frozen table of either kind has 2^k slots on
-  // some ranks and 2^(k+1) on others: a rank with the smaller table drops
-  // the filters of owners with the larger one.
+  // Every owner builds its filter of a kind at one rate, which every rank
+  // computes alike from the smallest owned-table bytes / peers and the
+  // largest owned entry count over all ranks (or filter_fp_rate, if
+  // higher). So every filter fits every holder's share, no holder drops
+  // one, and the filters of one kind a rank holds never take more bytes
+  // than its owned table of that kind. A capped filter runs at the rate the
+  // cap allows; where that rate reaches kMaxFilterFpRate no rank sends a
+  // filter of that kind, none holds one, and the blocking exchange still
+  // completes. 40 reads at 32 ranks force that regime. 2731 reads at 32
+  // ranks cap filters, and put ~4,180 k-mers and ~512 tiles on each rank,
+  // so a frozen table of either kind has 2^k slots on some ranks and
+  // 2^(k+1) on others: the smaller tables set the rate.
   core::CorrectorParams p;
   p.k = 12;
   p.tile_overlap = 4;
@@ -350,23 +351,17 @@ TEST(ExchangedFilters, StayWithinTheOwnedTableBudget) {
         for (const LookupKind kind : kLookupKinds) {
           const auto& own = spectrum.owned_table(kind);
           const auto peers = static_cast<std::size_t>(np - 1);
-          // Every owner's table bytes, and its rate, decided the way the
-          // owner decides it.
-          const std::size_t my_bytes = own.memory_bytes();
-          const double my_rate = std::max(
+          // The one rate of this kind, decided the way every rank decides
+          // it.
+          const std::size_t share =
+              comm.allreduce_min(own.memory_bytes()) / peers;
+          const std::size_t entries = comm.allreduce_max(own.size());
+          const double rate = std::max(
               heur.filter_fp_rate,
-              hash::OwnerFilter::fp_rate_for_bytes(own.size(),
-                                                   my_bytes / peers));
-          const auto table_bytes =
-              comm.allgatherv(std::span<const std::size_t>(&my_bytes, 1));
-          const auto rates =
-              comm.allgatherv(std::span<const double>(&my_rate, 1));
+              hash::OwnerFilter::fp_rate_for_bytes(entries, share));
           std::size_t held = 0;
           for (int owner = 0; owner < np; ++owner) {
             if (owner == comm.rank()) continue;
-            const double rate = rates[static_cast<std::size_t>(owner)];
-            const std::size_t owner_bytes =
-                table_bytes[static_cast<std::size_t>(owner)];
             const hash::OwnerFilter* f = spectrum.peer_filter(kind, owner);
             if (rate >= kMaxFilterFpRate) {
               EXPECT_EQ(f, nullptr) << "np=" << np << " owner=" << owner;
@@ -375,14 +370,11 @@ TEST(ExchangedFilters, StayWithinTheOwnedTableBudget) {
               continue;
             }
             if (f == nullptr) {
-              // Beyond this rank's share: only an owner with a larger
-              // table can send that.
-              EXPECT_LT(my_bytes, owner_bytes) << "np=" << np;
               std::lock_guard<std::mutex> lock(mu);
               ++dropped;
               continue;
             }
-            EXPECT_LE(f->memory_bytes(), owner_bytes / peers)
+            EXPECT_LE(f->memory_bytes(), share)
                 << "np=" << np << " reads=" << nreads << " owner=" << owner;
             held += f->memory_bytes();
             int maybe = 0;
@@ -406,10 +398,10 @@ TEST(ExchangedFilters, StayWithinTheOwnedTableBudget) {
       });
     }
   }
-  // Every regime was exercised.
+  // Every regime was exercised, and no filter was dropped.
   EXPECT_GT(capped, 0);
   EXPECT_GT(forced_off, 0);
-  EXPECT_GT(dropped, 0);
+  EXPECT_EQ(dropped, 0);
 }
 
 }  // namespace

@@ -301,7 +301,7 @@ TEST(FaultInjection, RetriesRecoverDroppedLookups) {
           parallel::end_correction_phase(comm, /*stop_service=*/true);
           server.join();
         } else {
-          parallel::RemoteSpectrumView view(comm, spectrum, 0, false, retry);
+          parallel::RemoteSpectrumView view(comm, spectrum, 0, retry);
           core::SpectrumExtractor extractor(params);
           std::vector<seq::kmer_id_t> kmers;
           std::vector<seq::tile_id_t> tiles;

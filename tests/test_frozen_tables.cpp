@@ -1,7 +1,7 @@
 // Integration tests: every spectrum table that is only read after
 // construction is built at the frozen sizing (hash::CountTable::frozen,
-// load <= 1/2), in every distributed mode, in the replicated baseline, for a
-// loaded checkpoint and for FrozenSpectrum's hash backend.
+// load <= 1/2), in every distributed mode, in the replicated baseline and for
+// a loaded checkpoint.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/frozen_spectrum.hpp"
 #include "core/spectrum.hpp"
 #include "core/spectrum_io.hpp"
 #include "parallel/dist_spectrum.hpp"
@@ -244,18 +243,22 @@ TEST_F(FrozenLocalSpectrum, PrunedAndLoadedSpectraAreAtMostHalfFull) {
   EXPECT_EQ(loaded.memory_bytes(), original.memory_bytes());
 }
 
-TEST(FrozenSpectrumSizing, HashBackendIsAtMostHalfFull) {
-  // 3,000 k-mers grown entry by entry sit in 4,096 slots (load 0.73); the
-  // frozen backend holds them in 8,192.
-  Table kmers;
-  Table tiles;
-  for (std::uint64_t k = 0; k < 3000; ++k) kmers.increment(k, 5);
+TEST(FrozenTableSizing, FrozenTablesAreAtMostHalfFull) {
+  // 3,000 k-mers grown entry by entry sit in 4,096 slots (load 0.73); a
+  // table built by CountTable::frozen holds them in 8,192, and 100 tiles in
+  // 256.
+  Table grown;
+  for (std::uint64_t k = 0; k < 3000; ++k) grown.increment(k, 5);
+  ASSERT_EQ(grown.capacity(), 4096u);
+  Table kmers = Table::frozen(grown.size());
+  grown.for_each(
+      [&](std::uint64_t id, std::uint32_t c) { kmers.increment(id, c); });
+  Table tiles = Table::frozen(100);
   for (std::uint64_t k = 0; k < 100; ++k) tiles.increment(k, 5);
-  const core::LocalSpectrum source(small_params(), std::move(kmers),
-                                   std::move(tiles));
-  ASSERT_EQ(source.kmers().capacity(), 4096u);
-  const core::FrozenSpectrum frozen(source, core::SpectrumBackend::kHashTable);
-  EXPECT_EQ(frozen.memory_bytes(), (8192u + 256u) * Table::kSlotBytes);
+  expect_frozen(kmers, "frozen kmers");
+  expect_frozen(tiles, "frozen tiles");
+  EXPECT_EQ(kmers.memory_bytes() + tiles.memory_bytes(),
+            (8192u + 256u) * Table::kSlotBytes);
 }
 
 TEST_F(FrozenLocalSpectrum, OversizedEntryCountIsRefusedBeforeSizing) {

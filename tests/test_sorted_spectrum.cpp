@@ -1,13 +1,13 @@
 // Unit tests: the prior art's spectrum stores — sorted arrays and the
-// cache-aware (B+1)-ary layout — plus the FrozenSpectrum equivalence.
+// cache-aware (B+1)-ary layout — checked against the frozen hash tables this
+// paper keeps the spectrum in.
 #include "hash/sorted_spectrum.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "core/corrector.hpp"
-#include "core/frozen_spectrum.hpp"
+#include "core/spectrum.hpp"
 #include "seq/dataset.hpp"
 #include "seq/rng.hpp"
 
@@ -117,7 +117,7 @@ TEST(CacheAwareCountArray, BlocksAreCacheLineSized) {
 namespace reptile::core {
 namespace {
 
-TEST(FrozenSpectrum, AllBackendsAnswerIdentically) {
+TEST(SpectrumLayouts, AllBackendsAnswerIdentically) {
   CorrectorParams p;
   p.k = 10;
   p.tile_overlap = 4;
@@ -131,51 +131,24 @@ TEST(FrozenSpectrum, AllBackendsAnswerIdentically) {
   for (const auto& r : ds.reads) live.add_read(r.bases);
   live.prune();
 
-  FrozenSpectrum hash_backend(live, SpectrumBackend::kHashTable);
-  FrozenSpectrum sorted_backend(live, SpectrumBackend::kSortedArray);
-  FrozenSpectrum cache_backend(live, SpectrumBackend::kCacheAware);
-
-  // Probe every live entry plus neighbors.
-  live.kmers().for_each([&](std::uint64_t id, std::uint32_t c) {
-    ASSERT_EQ(hash_backend.kmer_count(id), c);
-    ASSERT_EQ(sorted_backend.kmer_count(id), c);
-    ASSERT_EQ(cache_backend.kmer_count(id), c);
-    const std::uint64_t probe = id ^ 0x5;
-    const auto expect = hash_backend.kmer_count(probe);
-    ASSERT_EQ(sorted_backend.kmer_count(probe), expect);
-    ASSERT_EQ(cache_backend.kmer_count(probe), expect);
-  });
+  // The same pruned spectrum in the prior art's two layouts answers every
+  // live entry, and every neighbor, exactly as the hash table does.
+  for (const hash::CountTable<>* table : {&live.kmers(), &live.tiles()}) {
+    const auto sorted = hash::SortedCountArray::from_entries(table->entries());
+    const auto cache =
+        hash::CacheAwareCountArray::from_entries(table->entries());
+    table->for_each([&](std::uint64_t id, std::uint32_t c) {
+      ASSERT_EQ(sorted.find(id), c);
+      ASSERT_EQ(cache.find(id), c);
+      const std::uint64_t probe = id ^ 0x5;
+      const auto expect = table->find(probe);
+      ASSERT_EQ(sorted.find(probe), expect);
+      ASSERT_EQ(cache.find(probe), expect);
+    });
+  }
 }
 
-TEST(FrozenSpectrum, CorrectorDecisionsIdenticalAcrossBackends) {
-  CorrectorParams p;
-  p.k = 10;
-  p.tile_overlap = 4;
-  seq::DatasetSpec spec{"fz2", 1200, 70, 1500};
-  seq::ErrorModelParams errors;
-  errors.error_rate_start = 0.004;
-  errors.error_rate_end = 0.012;
-  const auto ds = seq::SyntheticDataset::generate(spec, errors, 78);
-
-  LocalSpectrum live(p);
-  for (const auto& r : ds.reads) live.add_read(r.bases);
-  live.prune();
-
-  TileCorrector corrector(p);
-  auto run_with = [&](SpectrumBackend backend) {
-    FrozenSpectrum frozen(live, backend);
-    std::vector<seq::Read> out = ds.reads;
-    for (auto& r : out) corrector.correct(r, frozen);
-    return out;
-  };
-  const auto via_hash = run_with(SpectrumBackend::kHashTable);
-  const auto via_sorted = run_with(SpectrumBackend::kSortedArray);
-  const auto via_cache = run_with(SpectrumBackend::kCacheAware);
-  EXPECT_EQ(via_hash, via_sorted);
-  EXPECT_EQ(via_hash, via_cache);
-}
-
-TEST(FrozenSpectrum, PriorArtLayoutsAreDenser) {
+TEST(SpectrumLayouts, PriorArtLayoutsAreDenser) {
   CorrectorParams p;
   p.k = 10;
   p.tile_overlap = 4;
@@ -185,12 +158,22 @@ TEST(FrozenSpectrum, PriorArtLayoutsAreDenser) {
   for (const auto& r : ds.reads) live.add_read(r.bases);
   live.prune();
 
-  const FrozenSpectrum hash_backend(live, SpectrumBackend::kHashTable);
-  const FrozenSpectrum sorted_backend(live, SpectrumBackend::kSortedArray);
+  // Pruning leaves the tables at the frozen sizing (load <= 1/2).
+  ASSERT_EQ(live.kmers().capacity(),
+            hash::CountTable<>::frozen_capacity(live.kmer_entries()));
+  ASSERT_EQ(live.tiles().capacity(),
+            hash::CountTable<>::frozen_capacity(live.tile_entries()));
+  const std::size_t hash_bytes =
+      live.kmers().memory_bytes() + live.tiles().memory_bytes();
+  const std::size_t sorted_bytes =
+      hash::SortedCountArray::from_entries(live.kmers().entries())
+          .memory_bytes() +
+      hash::SortedCountArray::from_entries(live.tiles().entries())
+          .memory_bytes();
   // Sorted arrays carry no empty slots; the hash table holds load-factor
   // headroom (the prior art's memory advantage, which the paper trades for
   // lookup speed and in-place construction).
-  EXPECT_LT(sorted_backend.memory_bytes(), hash_backend.memory_bytes());
+  EXPECT_LT(sorted_bytes, hash_bytes);
 }
 
 }  // namespace

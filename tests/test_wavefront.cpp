@@ -92,7 +92,10 @@ TEST_P(WavefrontSweep, MatchesSequentialAndTheScalarLookups) {
   expect_same_bases(scalar.corrected, ref.corrected);
 
   config.heuristics.batch_lookups = true;
-  for (const int workers : {1, 2}) {
+  // add_remote writes the shared reads tables, so it runs with one worker.
+  const std::vector<int> worker_counts =
+      chain.heur.add_remote ? std::vector<int>{1} : std::vector<int>{1, 2};
+  for (const int workers : worker_counts) {
     SCOPED_TRACE("workers " + std::to_string(workers));
     config.worker_threads = workers;
     const DistResult wave = run_distributed(reads(), config);
