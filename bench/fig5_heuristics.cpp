@@ -137,6 +137,16 @@ int main(int argc, char** argv) {
       // Filtered and batched together is the defaults row (checked below).
       {"filtered lookups", 8, 4, h([](auto& x) { x.filter_lookups = true; }),
        "filtered"},
+      // read_kmers judged against the mode that runs: the defaults plus
+      // the reads tables (every lookup the wavefront would batch that a
+      // read's own k-mers/tiles answer stays off the wire).
+      {"defaults + read kmers", 8, 4,
+       [] {
+         parallel::Heuristics x;
+         x.read_kmers = true;
+         return x;
+       }(),
+       "defaults_read_kmers"},
   };
   if (!(h([](auto& x) { x.filter_lookups = x.batch_lookups = true; }) ==
         parallel::Heuristics{})) {

@@ -267,12 +267,10 @@ void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
     // best effort, so there is nothing to retransmit — just stop waiting.
     auto budget = std::chrono::microseconds(
         retry.attempt_timeout_us(retry.max_retries));
-    const auto is_filter = [](const rtm::Message& m) {
-      return m.tag == kTagFilterExchange;
-    };
     for (std::size_t i = 0; i < expected; ++i) {
       const auto start = std::chrono::steady_clock::now();
-      std::optional<rtm::Message> m = comm_->recv_match_for(is_filter, budget);
+      std::optional<rtm::Message> m =
+          comm_->recv_for({rtm::kAnySource, kTagFilterExchange}, budget);
       if (!m.has_value()) break;  // budget exhausted: remaining slots stay null
       accept(*m);
       const auto spent = std::chrono::duration_cast<std::chrono::microseconds>(

@@ -10,20 +10,18 @@
 namespace reptile::parallel {
 
 namespace {
-bool is_request_tag(int tag) noexcept {
-  return tag == kTagKmerRequest || tag == kTagTileRequest ||
-         tag == kTagUniversalRequest || tag == kTagBatchRequest;
-}
-
-bool is_request_or_stop(const rtm::Message& m) noexcept {
-  return m.tag == kTagServiceStop || is_request_tag(m.tag);
-}
+constexpr rtm::Match kRequests{rtm::kAnySource,
+                               {kTagKmerRequest, kTagTileRequest,
+                                kTagUniversalRequest, kTagBatchRequest}};
+constexpr rtm::Match kRequestsOrStop{
+    rtm::kAnySource,
+    {kTagKmerRequest, kTagTileRequest, kTagUniversalRequest, kTagBatchRequest,
+     kTagServiceStop}};
 }  // namespace
 
-LookupService::LookupService(rtm::Comm& comm, const DistSpectrum& spectrum)
-    : comm_(&comm),
-      spectrum_(&spectrum),
-      universal_(spectrum.heuristics().universal) {}
+LookupService::LookupService(rtm::Comm& comm, const DistSpectrum& spectrum,
+                             bool universal)
+    : comm_(&comm), spectrum_(&spectrum), universal_(universal) {}
 
 void LookupService::reply(int requester, LookupKind kind, std::uint64_t id,
                           int reply_to, std::uint64_t seq) {
@@ -142,7 +140,7 @@ void LookupService::serve() {
     }
     std::optional<rtm::Message> msg;
     if (check == nullptr) {
-      msg = comm_->recv_match(is_request_or_stop);
+      msg = comm_->recv(kRequestsOrStop);
     } else {
       // Checked runs wait in poll slices: an empty slice tells the deadlock
       // watchdog this thread only reacts to messages, and once the watchdog
@@ -150,8 +148,7 @@ void LookupService::serve() {
       // threads carry the DeadlockError to run_ranks.
       while (!msg) {
         if (check->aborted()) return;
-        msg = comm_->recv_match_for(is_request_or_stop,
-                                    check->poll_interval());
+        msg = comm_->recv_for(kRequestsOrStop, check->poll_interval());
         if (!msg) check->thread_idle_poll();
       }
       check->thread_active();
@@ -161,14 +158,7 @@ void LookupService::serve() {
   }
   // Answer the requests still queued behind the stop (chaos duplicates and
   // retransmissions that arrived late; fault-free runs find none).
-  while (true) {
-    auto msg = comm_->try_recv(rtm::kAnySource, kTagKmerRequest);
-    if (!msg) msg = comm_->try_recv(rtm::kAnySource, kTagTileRequest);
-    if (!msg) msg = comm_->try_recv(rtm::kAnySource, kTagUniversalRequest);
-    if (!msg) msg = comm_->try_recv(rtm::kAnySource, kTagBatchRequest);
-    if (!msg) break;
-    handle(*msg);
-  }
+  while (auto msg = comm_->try_recv(kRequests)) handle(*msg);
   // Discard stall-delayed filter-exchange stragglers (chaos only: the
   // exchange itself finished — or timed out — before this service
   // started). They carry no reply obligation; leaving them queued would

@@ -9,6 +9,10 @@
 // (if it is a k-mer or a tile lookup) ... and sends the appropriate
 // response."
 //
+// Receiving: like the paper's MPI tag matching, the thread names its
+// envelope (any source; the request tags and kTagServiceStop), so the
+// mailbox wakes it only for a message it takes, never for a worker reply.
+//
 // Termination: each rank ends the phase with end_correction_phase(), one
 // barrier and then a stop (kTagServiceStop) posted to its own mailbox. A
 // worker only finishes once every reply it waited for has arrived, so after
@@ -36,7 +40,11 @@ class LookupService {
   /// The service answers from `spectrum`'s owned tables; `comm` is the
   /// rank's communicator (shared with the worker thread — all mailbox
   /// operations are thread-safe, and the service touches no collectives).
-  LookupService(rtm::Comm& comm, const DistSpectrum& spectrum);
+  /// `universal` is the protocol the requesters of this phase speak (the
+  /// job's effective flag, which a serve job may override): without it the
+  /// service probes per request tag before each receive, as in the paper.
+  LookupService(rtm::Comm& comm, const DistSpectrum& spectrum,
+                bool universal);
 
   /// Answers requests until this rank's stop arrives, then drains the
   /// requests still queued and returns. Call on a dedicated thread. With

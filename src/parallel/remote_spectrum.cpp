@@ -220,11 +220,7 @@ bool RemoteSpectrumView::await_reply(int owner, int tag,
         std::chrono::microseconds(retry_.attempt_timeout_us(attempt));
     for (auto now = std::chrono::steady_clock::now(); now < deadline;
          now = std::chrono::steady_clock::now()) {
-      const auto msg = comm_->recv_match_for(
-          [&](const rtm::Message& m) {
-            return m.source == owner && m.tag == tag;
-          },
-          deadline - now);
+      const auto msg = comm_->recv_for({owner, tag}, deadline - now);
       if (msg) {
         if (accept(*msg)) return true;
       } else if (check != nullptr && check->aborted()) {

@@ -27,7 +27,7 @@ void DistSpectrumModel::prepare_correction(RankContext& ctx) {
   // flight, so the blocking collection can never steal a lookup message.
   // (Idempotent: in serve mode only the first job's call exchanges.)
   spectrum_.exchange_filters(ctx.job.retry);
-  service_.emplace(*comm_, spectrum_);
+  service_.emplace(*comm_, spectrum_, ctx.job.heuristics.universal);
 }
 
 /// One worker's lookup surface: a RemoteSpectrumView with the worker's own

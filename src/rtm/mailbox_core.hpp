@@ -7,13 +7,14 @@
 // deque (so the deque is always the OLDER half of the queue), and the
 // locked push path never parks a message in the deque while an older,
 // not-yet-drained message is still in the ring. The surrounding Mailbox
-// (rtm/mailbox.hpp) contributes the mutex, condvar, waiter registry,
-// rtm-check hooks and stats; everything here that is suffixed `_locked`
-// requires that external mutex.
+// (rtm/mailbox.hpp) contributes the mutex, the waiter registry (each
+// waiter with its own wakeup), rtm-check hooks and stats; everything here
+// that is suffixed `_locked` requires that external mutex.
 //
 // WaiterGate owns the waiter-count word and the Dekker (store-buffering)
 // fence handshake that closes the lost-wakeup window between a lock-free
-// publication and a receiver parking on the condvar (DESIGN.md §7).
+// publication and a receiver parking (DESIGN.md §7);
+// BasicMailboxCore::enter_wait_locked is the handshake's receiving half.
 //
 // Both templates are instantiated with StdAtomics in production and with
 // the instrumented model policy by tests/test_rtm_model.cpp, which explores
@@ -43,20 +44,56 @@ inline bool g_spill_fifo = false;
 }  // namespace mutants
 #endif
 
+#ifdef RTM_MODEL_MUTANT_SKIP_WAIT_DRAIN
+namespace mutants {
+/// Test-only toggle (model-checker mutant suite): a waiter parks without
+/// draining the ring after it announces itself, missing a lock-free push
+/// that skipped its wakeup. Never defined in production builds.
+inline bool g_skip_wait_drain = false;
+}  // namespace mutants
+#endif
+
+/// The waiter-count word and the Dekker handshake against lost wakeups.
+///
+/// Publisher side (after a lock-free ring publication): a seq_cst fence,
+/// then the count read — publisher_sees_waiter(). Receiver side (before
+/// its final rescan and park): count increment, then a seq_cst fence —
+/// enter(). The two fences order the (publish, count-read) pair against
+/// the (count-write, rescan) pair like Dekker's algorithm orders its two
+/// flags: at least one side always observes the other, so either the
+/// publisher notifies, or the receiver's rescan finds the message. A
+/// receiver can therefore never park after missing a message whose push
+/// skipped the notify (full argument in DESIGN.md §7).
+template <class Policy = StdAtomics>
+class WaiterGate {
+ public:
+  /// Publisher half. Call after the message is published; true means some
+  /// receiver is registered (or mid-registration) and must be notified.
+  bool publisher_sees_waiter() {
+    Policy::fence(std::memory_order_seq_cst);
+    // mo: relaxed read is sound only behind the seq_cst fence above —
+    // the fence pairs with the one in enter() (store-buffering shape).
+    return count_.load(std::memory_order_relaxed) != 0;
+  }
+
+  /// Receiver half. Call before the post-registration rescan.
+  void enter() {
+    count_.fetch_add(1, std::memory_order_seq_cst);
+    Policy::fence(std::memory_order_seq_cst);
+  }
+
+  void exit() { count_.fetch_sub(1, std::memory_order_seq_cst); }
+
+ private:
+  typename Policy::template Atomic<int> count_{0};
+};
+
 /// Ring + overflow deque + the FIFO discipline between them.
 template <class Policy = StdAtomics>
 class BasicMailboxCore {
  public:
   using Ring = BasicMpmcMessageRing<Policy>;
   using PopResult = typename Ring::PopResult;
-
-  /// A deque entry: the message plus its arrival stamp. Stamps increase
-  /// monotonically in deque order; Mailbox::pop_match_for uses them to
-  /// resume predicate scans without re-examining old messages.
-  struct Entry {
-    Message msg;
-    std::uint64_t stamp = 0;
-  };
 
   explicit BasicMailboxCore(std::size_t ring_capacity)
       : ring_(ring_capacity) {}
@@ -94,7 +131,7 @@ class BasicMailboxCore {
       // deque even when a mid-publish gap still hides older ring entries.
       drain_ring_locked();
       if (!(fast_path_enabled && ring_.try_push(m))) {
-        queue_.push_back(Entry{std::move(m), next_stamp_++});
+        queue_.push_back(std::move(m));
       }
       if (queue_.empty()) ring_.set_consumer_lock(false);
       return;
@@ -106,7 +143,7 @@ class BasicMailboxCore {
         break;  // drained slots made room; rides the ring, behind the deque
       }
       if (ring_.approx_size() == 0) {
-        queue_.push_back(Entry{std::move(m), next_stamp_++});
+        queue_.push_back(std::move(m));
         break;
       }
       Policy::yield();  // head is mid-publish
@@ -117,8 +154,7 @@ class BasicMailboxCore {
   }
 
   /// Caller holds the external mutex. Sets the consumer-lock bit and moves
-  /// every published ring entry to the back of the deque, stamping
-  /// arrivals — after this the deque shows every delivered message and
+  /// every published ring entry to the back of the deque — after this the deque shows every delivered message and
   /// fast pops cannot race a scan.
   void slow_begin_locked() {
     ring_.set_consumer_lock(true);
@@ -135,68 +171,54 @@ class BasicMailboxCore {
   void drain_ring_locked() {
     Message m;
     while (ring_.pop_head_locked(m)) {
-      queue_.push_back(Entry{std::move(m), next_stamp_++});
+      queue_.push_back(std::move(m));
     }
   }
 
-  /// The overflow deque (guarded by the external mutex).
-  std::deque<Entry>& queue() { return queue_; }
-  const std::deque<Entry>& queue() const { return queue_; }
+  /// Caller holds the external mutex with the consumer-lock bit set and has
+  /// just registered a waiter: WaiterGate's receiving half. Announces the
+  /// waiter, then drains — a push that landed before the announcement
+  /// skipped its wakeup, and only this drain shows it.
+  void enter_wait_locked(WaiterGate<Policy>& gate) {
+    gate.enter();
+#ifdef RTM_MODEL_MUTANT_SKIP_WAIT_DRAIN
+    if (mutants::g_skip_wait_drain) return;  // MUTANT: park without a drain
+#endif
+    drain_ring_dry_locked();
+  }
 
-  /// Next arrival stamp (guarded by the external mutex); all queued
-  /// entries carry stamps strictly below this.
-  std::uint64_t next_stamp() const { return next_stamp_; }
+  /// Caller holds the external mutex; a parked waiter woke. Sets the
+  /// consumer-lock bit and drains the ring dry before the waiter rescans.
+  void resume_wait_locked() {
+    ring_.set_consumer_lock(true);
+    drain_ring_dry_locked();
+  }
+
+  /// The overflow deque (guarded by the external mutex).
+  std::deque<Message>& queue() { return queue_; }
+  const std::deque<Message>& queue() const { return queue_; }
 
   std::size_t ring_size() const { return ring_.approx_size(); }
 
   Ring& ring() { return ring_; }
 
  private:
+  /// A waiter's drain, until the ring is empty. A plain drain stops at a
+  /// head cell claimed but not yet published (or not yet visible), and the
+  /// messages behind it already spent their wakeups, while the head's push
+  /// wakes only its own matches (DESIGN.md §7). The head's producer is
+  /// lock-free, so yielding waits it out.
+  void drain_ring_dry_locked() {
+    for (;;) {
+      const std::size_t before = queue_.size();
+      drain_ring_locked();
+      if (ring_.approx_size() == 0) return;
+      if (queue_.size() == before) Policy::yield();  // only a gap is left
+    }
+  }
+
   Ring ring_;
-  std::deque<Entry> queue_;       // guarded by the external mutex
-  std::uint64_t next_stamp_ = 1;  // guarded by the external mutex
-};
-
-/// The waiter-count word and the Dekker handshake against lost wakeups.
-///
-/// Publisher side (after a lock-free ring publication): a seq_cst fence,
-/// then the count read — publisher_sees_waiter(). Receiver side (before
-/// its final rescan and park): count increment, then a seq_cst fence —
-/// enter(). The two fences order the (publish, count-read) pair against
-/// the (count-write, rescan) pair like Dekker's algorithm orders its two
-/// flags: at least one side always observes the other, so either the
-/// publisher notifies, or the receiver's rescan finds the message. A
-/// receiver can therefore never park after missing a message whose push
-/// skipped the notify (full argument in DESIGN.md §7).
-template <class Policy = StdAtomics>
-class WaiterGate {
- public:
-  /// Publisher half. Call after the message is published; true means some
-  /// receiver is registered (or mid-registration) and must be notified.
-  bool publisher_sees_waiter() {
-    Policy::fence(std::memory_order_seq_cst);
-    // mo: relaxed read is sound only behind the seq_cst fence above —
-    // the fence pairs with the one in enter() (store-buffering shape).
-    return count_.load(std::memory_order_relaxed) != 0;
-  }
-
-  /// Receiver half. Call before the post-registration rescan.
-  void enter() {
-    count_.fetch_add(1, std::memory_order_seq_cst);
-    Policy::fence(std::memory_order_seq_cst);
-  }
-
-  void exit() { count_.fetch_sub(1, std::memory_order_seq_cst); }
-
-  /// Racy snapshot for the locked push path, which re-checks the waiter
-  /// registry under the mutex anyway.
-  bool any_waiter_hint() const {
-    // mo: relaxed — hint only; the registry check under the mutex decides.
-    return count_.load(std::memory_order_relaxed) != 0;
-  }
-
- private:
-  typename Policy::template Atomic<int> count_{0};
+  std::deque<Message> queue_;  // guarded by the external mutex
 };
 
 }  // namespace reptile::rtm

@@ -18,11 +18,13 @@
 // outlive the World that carried it (runtime messages are consumed during
 // the run, which the rtm-check leak audit enforces).
 
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -408,6 +410,36 @@ struct Message {
     std::memcpy(&out, payload.data(), sizeof(T));
     return out;
   }
+};
+
+/// A receive's envelope: one source or kAnySource, and one tag, kAnyTag, or
+/// a short list (the communication thread's request tags and its stop).
+struct Match {
+  static constexpr std::size_t kMaxTags = 5;
+
+  constexpr Match(int src, int tag) : source(src), ntags(1) { tags[0] = tag; }
+  constexpr Match(int src, std::initializer_list<int> tag_list)
+      : source(src) {
+    assert(tag_list.size() >= 1 && tag_list.size() <= kMaxTags);
+    for (const int t : tag_list) tags[ntags++] = t;
+  }
+
+  /// One stream, no wildcard: the only envelope the ring's head can serve.
+  constexpr bool exact() const noexcept {
+    return source != kAnySource && ntags == 1 && tags[0] != kAnyTag;
+  }
+
+  constexpr bool matches(int src, int tag) const noexcept {
+    if (source != kAnySource && src != source) return false;
+    for (std::size_t i = 0; i < ntags; ++i) {
+      if (tags[i] == kAnyTag || tags[i] == tag) return true;
+    }
+    return false;
+  }
+
+  int source;
+  std::array<int, kMaxTags> tags{};
+  std::size_t ntags = 0;
 };
 
 }  // namespace reptile::rtm

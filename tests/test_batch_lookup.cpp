@@ -154,7 +154,7 @@ TEST(BatchProtocol, ServiceAnswersVectoredRequest) {
     }
 
     if (comm.rank() == 0) {
-      LookupService service(comm, spectrum);
+      LookupService service(comm, spectrum, spectrum.heuristics().universal);
       std::thread server([&service] { service.serve(); });
       end_correction_phase(comm, /*stop_service=*/true);
       server.join();
@@ -459,7 +459,7 @@ TEST(BatchedLookups, CrossKindIdCountedInBothTables) {
     }
     spectrum.exchange_to_owners();
     if (comm.rank() == 0) {
-      LookupService service(comm, spectrum);
+      LookupService service(comm, spectrum, spectrum.heuristics().universal);
       std::thread server([&service] { service.serve(); });
       end_correction_phase(comm, /*stop_service=*/true);
       server.join();
@@ -553,7 +553,7 @@ TEST_P(OnePassChunk, EqualsPrefetchThenCorrect) {
       spectrum.drop_reads_tables();
     }
     spectrum.exchange_filters(RetryPolicy{});
-    LookupService service(comm, spectrum);
+    LookupService service(comm, spectrum, spectrum.heuristics().universal);
     std::thread server([&service] { service.serve(); });
     // Corrects the batch both ways with `params`; returns the two-pass
     // view's remote counters.

@@ -89,7 +89,8 @@ TEST(Chaos, LookupProtocolUnderDelays) {
         for (const auto& r : ds.reads) spectrum.add_read(r.bases);
         spectrum.exchange_to_owners();
 
-        parallel::LookupService service(comm, spectrum);
+        parallel::LookupService service(comm, spectrum,
+                                        spectrum.heuristics().universal);
         std::thread server([&service] { service.serve(); });
 
         parallel::RemoteSpectrumView view(comm, spectrum);

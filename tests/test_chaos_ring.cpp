@@ -57,8 +57,8 @@ ChaosRunResult run_seeded_chaos(bool fast_path) {
           comm.send_value(1, 6, std::uint64_t{0});
         } else {
           while (true) {
-            const auto m = comm.recv_match_for(
-                [](const rtm::Message&) { return true; }, 5s);
+            const auto m =
+                comm.recv_for({rtm::kAnySource, rtm::kAnyTag}, 5s);
             ASSERT_TRUE(m);
             if (m->tag == 6) break;
             result.received.push_back(m->as_value<std::uint64_t>());

@@ -184,7 +184,8 @@ TEST(Comm, ServiceStopComesAfterEveryQueuedRequest) {
     // before its service even starts.
     parallel::end_correction_phase(comm, /*stop_service=*/comm.rank() == 0);
     if (comm.rank() == 0) {
-      parallel::LookupService service(comm, spectrum);
+      parallel::LookupService service(comm, spectrum,
+                                      spectrum.heuristics().universal);
       std::thread server([&service] { service.serve(); });
       server.join();
       stats = service.stats();

@@ -121,8 +121,8 @@ TEST(FaultInjection, DuplicatesArriveBehindTheOriginalInFifoOrder) {
           int received = 0;
           int same = 0;
           while (received < kMessages || same > 0) {
-            const auto m = comm.recv_match_for(
-                [](const rtm::Message&) { return true; }, 50ms);
+            const auto m =
+                comm.recv_for({rtm::kAnySource, rtm::kAnyTag}, 50ms);
             if (!m) break;
             const auto v = m->as_value<std::uint64_t>();
             if (received > 0 && v == last) {
@@ -256,7 +256,8 @@ TEST(FaultInjection, StaleRepliesAreSuppressedBySequenceNumber) {
     comm.barrier();
 
     if (comm.rank() == 0) {
-      parallel::LookupService service(comm, spectrum);
+      parallel::LookupService service(comm, spectrum,
+                                      spectrum.heuristics().universal);
       std::thread server([&service] { service.serve(); });
       parallel::end_correction_phase(comm, /*stop_service=*/true);
       server.join();
@@ -296,7 +297,8 @@ TEST(FaultInjection, RetriesRecoverDroppedLookups) {
         for (const auto& r : ds.reads) spectrum.add_read(r.bases);
         spectrum.exchange_to_owners();
         if (comm.rank() == 0) {
-          parallel::LookupService service(comm, spectrum);
+          parallel::LookupService service(comm, spectrum,
+                                          spectrum.heuristics().universal);
           std::thread server([&service] { service.serve(); });
           parallel::end_correction_phase(comm, /*stop_service=*/true);
           server.join();

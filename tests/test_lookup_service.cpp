@@ -59,7 +59,7 @@ void run_protocol_test(
     }
 
     if (comm.rank() == 0) {
-      LookupService service(comm, spectrum);
+      LookupService service(comm, spectrum, spectrum.heuristics().universal);
       std::thread server([&service] { service.serve(); });
       // Rank 0 has no correction work of its own.
       end_correction_phase(comm, /*stop_service=*/true);

@@ -46,7 +46,7 @@ void with_remote_view(
     spectrum.replicate_group();
 
     if (comm.rank() == 0) {
-      LookupService service(comm, spectrum);
+      LookupService service(comm, spectrum, spectrum.heuristics().universal);
       std::thread server([&service] { service.serve(); });
       end_correction_phase(comm, /*stop_service=*/true);
       server.join();

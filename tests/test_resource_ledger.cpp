@@ -284,7 +284,8 @@ TEST_F(LedgerTest, WavefrontBuffersBalanceEqualsViewMemoryBytes) {
     }
     spectrum.exchange_to_owners();
     if (comm.rank() == 0) {
-      parallel::LookupService service(comm, spectrum);
+      parallel::LookupService service(comm, spectrum,
+                                      spectrum.heuristics().universal);
       std::thread server([&service] { service.serve(); });
       parallel::end_correction_phase(comm, /*stop_service=*/true);
       server.join();

@@ -10,7 +10,7 @@
 //   - production sweeps: bounded-exhaustive DFS over the tiny
 //     configurations (2 producers / 1 consumer, capacity-2 ring) and
 //     seeded random walks over all scenarios. RTM_MODEL_SCHEDULES scales
-//     the random budget (default 20000 per scenario = 100k total);
+//     the random budget (default 20000 per scenario = 120k total);
 //     RTM_MODEL_SEED picks the walk; RTM_MODEL_DEEP=1 adds the
 //     preemption-bound-2 / overflow-heavy exhaustive runs the CI model
 //     job uses (minutes, not seconds).
@@ -218,8 +218,9 @@ TEST(ModelExhaustive, SlabGate) {
 }
 
 // The deep tier the CI model job runs (RTM_MODEL_DEEP=1): preemption
-// bound 2 on the acceptance config and bound 1 on the overflow-heavy and
-// exact-envelope configs. Minutes of wall clock, so skipped by default.
+// bound 2 on the acceptance config, and bound 1 on the overflow-heavy,
+// exact-envelope and targeted-wakeup (~190k schedules) configs. Minutes of
+// wall clock, so skipped by default.
 TEST(ModelExhaustive, DeepConfigs) {
   if (env_u64("RTM_MODEL_DEEP", 0) == 0) {
     GTEST_SKIP() << "set RTM_MODEL_DEEP=1 for the deep exhaustive tier";
@@ -228,9 +229,9 @@ TEST(ModelExhaustive, DeepConfigs) {
     const char* name;
     int preemptions;
   };
-  for (const Config& c : {Config{"ring_fifo_small", 2},
-                          Config{"mailbox_overflow", 1},
-                          Config{"ring_exact", 1}}) {
+  for (const Config& c :
+       {Config{"ring_fifo_small", 2}, Config{"mailbox_overflow", 1},
+        Config{"ring_exact", 1}, Config{"targeted_wakeup", 1}}) {
     const Result r = run_named(c.name, Mode::kDfs, 3000000, c.preemptions);
     EXPECT_FALSE(r.failed) << describe_failure(r, c.name);
     EXPECT_TRUE(r.exhausted)
@@ -241,7 +242,7 @@ TEST(ModelExhaustive, DeepConfigs) {
 // ---- production structures: seeded random walks -----------------------------
 
 // All scenarios, RTM_MODEL_SCHEDULES random schedules each (default
-// 20000 x 5 = 100k total). Unbounded preemptions; stale-read choices and
+// 20000 x 6 = 120k total). Unbounded preemptions; stale-read choices and
 // preemption points sampled with a bias toward the SC-like default.
 TEST(ModelRandom, AllScenarios) {
   const std::uint64_t budget = env_u64("RTM_MODEL_SCHEDULES", 20000);

@@ -1,6 +1,6 @@
-// Mutant regression tier (DESIGN.md §8): re-introduce two real
+// Mutant regression tier (DESIGN.md §8): re-introduce three real
 // concurrency bugs behind compile-time + runtime toggles and pin that the
-// model checker DETECTS both within a bounded schedule budget — and stays
+// model checker DETECTS each within a bounded schedule budget — and stays
 // clean on the real code in the same binary with the toggles off.
 //
 //   RTM_MODEL_MUTANT_SPILL_FIFO   — the PR 6 overflow-spill race: the
@@ -12,9 +12,13 @@
 //       to memory_order_relaxed: no happens-before edge to the consumer's
 //       acquire, so reading the cell's Message is a data race. x86
 //       hardware hides this; the weak-memory simulation must not.
+//   RTM_MODEL_MUTANT_SKIP_WAIT_DRAIN — a receiver announces itself as a
+//       waiter but parks without draining the ring again: a lock-free push
+//       that landed just before the announcement skipped its wakeup, and
+//       the receiver sleeps forever. Surfaces as a modeled deadlock.
 //
-// This binary is compiled as a STANDALONE translation unit with both
-// mutant macros defined and deliberately does NOT link reptile_rtm: the
+// This binary is compiled as a STANDALONE translation unit with every
+// mutant macro defined and deliberately does NOT link reptile_rtm: the
 // library's TUs are built without the macros, and mixing the two inline
 // definitions of the templated push path would be an ODR violation that
 // silently drops the mutant.
@@ -29,6 +33,9 @@
 #endif
 #ifndef RTM_MODEL_MUTANT_RELAXED_SEQ
 #error "build this test with -DRTM_MODEL_MUTANT_RELAXED_SEQ"
+#endif
+#ifndef RTM_MODEL_MUTANT_SKIP_WAIT_DRAIN
+#error "build this test with -DRTM_MODEL_MUTANT_SKIP_WAIT_DRAIN"
 #endif
 
 namespace reptile::rtm::model {
@@ -69,7 +76,7 @@ void check_replayable(const Result& r, const char* scenario) {
   EXPECT_EQ(again.message, r.message);
 }
 
-// With both mutants compiled in but switched OFF, the binary must behave
+// With every mutant compiled in but switched OFF, the binary must behave
 // exactly like the clean one: no false positives.
 TEST(MutantsDisabled, AllScenariosClean) {
   for (const scenarios::Named& sc : scenarios::all()) {
@@ -114,6 +121,24 @@ TEST(RelaxedSeqMutant, BoundedDfsDetects) {
   ASSERT_TRUE(r.failed) << "relaxed-publish mutant survived bounded DFS";
   EXPECT_NE(r.message.find("data race"), std::string::npos) << r.message;
   check_replayable(r, "ring_fifo_small");
+}
+
+TEST(SkipWaitDrainMutant, RandomWalkDetects) {
+  const MutantFlag on(mutants::g_skip_wait_drain);
+  const Result r = run_named("targeted_wakeup", Mode::kRandom, 20000, -1);
+  ASSERT_TRUE(r.failed) << "skip-drain mutant survived 20k random schedules";
+  EXPECT_NE(r.message.find("deadlock"), std::string::npos) << r.message;
+  check_replayable(r, "targeted_wakeup");
+}
+
+TEST(SkipWaitDrainMutant, BoundedDfsDetects) {
+  const MutantFlag on(mutants::g_skip_wait_drain);
+  // One preemption is enough: stop a waiter between its last drain and
+  // its announcement, and let the pusher publish and find no waiter.
+  const Result r = run_named("targeted_wakeup", Mode::kDfs, 100000, 1);
+  ASSERT_TRUE(r.failed) << "skip-drain mutant survived bounded DFS";
+  EXPECT_NE(r.message.find("deadlock"), std::string::npos) << r.message;
+  check_replayable(r, "targeted_wakeup");
 }
 
 }  // namespace

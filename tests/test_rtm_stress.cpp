@@ -71,8 +71,7 @@ TEST(RtmStress, ManyPhaseCyclesWithServerThreads) {
       std::atomic<int> served{0};
       std::thread server([&comm, &served] {
         while (true) {
-          const Message m = comm.recv_match(
-              [](const Message& q) { return q.tag == 5 || q.tag == kStop; });
+          const Message m = comm.recv(Match{kAnySource, {5, kStop}});
           if (m.tag == kStop) break;
           comm.send_value(m.source, 6, m.as_value<std::uint64_t>() + 1);
           served.fetch_add(1);

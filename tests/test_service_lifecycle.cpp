@@ -1,8 +1,9 @@
 // Lifecycle tests of the correction phase's termination: one barrier, then
 // a stop each rank posts to its own mailbox (parallel::end_correction_phase).
 // The communication thread sleeps until a request or the stop arrives, a
-// failing worker surfaces its exception without hanging a peer, and a run
-// of jobs leaves no stop or request behind in any mailbox.
+// failing worker surfaces its exception without hanging a peer, a run of
+// jobs leaves no stop or request behind in any mailbox, and each phase's
+// service receives by the protocol that phase's requesters speak.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "parallel/dist_pipeline.hpp"
 #include "parallel/dist_spectrum.hpp"
 #include "parallel/lookup_service.hpp"
+#include "parallel/serve.hpp"
 #include "pipeline/session.hpp"
 #include "pipeline/spectrum_model.hpp"
 #include "pipeline/stages.hpp"
@@ -55,7 +57,8 @@ TEST(ServiceLifecycle, IdleServiceMakesNoTimedWakeups) {
           parallel::end_correction_phase(comm, /*stop_service=*/false);
           return;
         }
-        parallel::LookupService service(comm, spectrum);
+        parallel::LookupService service(comm, spectrum,
+                                        spectrum.heuristics().universal);
         std::thread server([&service] { service.serve(); });
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         const stats::Stopwatch clock;
@@ -68,6 +71,39 @@ TEST(ServiceLifecycle, IdleServiceMakesNoTimedWakeups) {
   EXPECT_LE(stats.probe_calls, 2u);
   EXPECT_EQ(stats.requests_served, 0u);
   EXPECT_LT(stop_to_return_s, 0.5);
+}
+
+TEST(ServiceLifecycle, ServiceProbesByTheJobsProtocol) {
+  // A serve job's universal override changes what its requesters send, so
+  // it must change how each communication thread receives too: with the
+  // override on a server built without it, no rank probes per request tag
+  // (as in a one-shot universal run); without the override, every rank
+  // does. Scalar lookups, so every remote lookup is a request.
+  const auto ds =
+      seq::SyntheticDataset::generate({"probe", 600, 60, 900}, {}, 43);
+  parallel::DistConfig config;
+  config.params = small_params();
+  config.ranks = 2;
+  config.heuristics.batch_lookups = false;
+  config.heuristics.filter_lookups = false;
+  ASSERT_FALSE(config.heuristics.universal);
+  parallel::CorrectionServer server(ds.reads, config);
+  parallel::JobRequest universal_job;
+  universal_job.reads = ds.reads;
+  universal_job.overrides.universal = true;
+  parallel::JobRequest build_job;
+  build_job.reads = ds.reads;
+  const parallel::JobReport with = server.submit(std::move(universal_job)).get();
+  const parallel::JobReport without = server.submit(std::move(build_job)).get();
+  server.shutdown();
+  ASSERT_EQ(with.ranks.size(), 2u);
+  ASSERT_EQ(without.ranks.size(), 2u);
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_GT(with.ranks[r].service.requests_served, 0u) << "rank " << r;
+    EXPECT_EQ(with.ranks[r].service.probe_calls, 0u) << "rank " << r;
+    EXPECT_GT(without.ranks[r].service.requests_served, 0u) << "rank " << r;
+    EXPECT_GT(without.ranks[r].service.probe_calls, 0u) << "rank " << r;
+  }
 }
 
 /// A worker handle whose correct_chunk throws on its second chunk (the
